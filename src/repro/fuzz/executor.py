@@ -4,13 +4,14 @@ The executor interprets input bytecode op by op, driving the
 interceptor (connections, packets, EOF), the guest scheduler and the
 snapshot machinery:
 
-* ``run_full`` executes an input from the top, optionally creating the
-  incremental snapshot after a chosen packet (the policy's pick, or an
-  explicit ``snapshot`` marker op in the input);
-* ``run_suffix`` re-executes only the ops after the snapshot point
-  against the incremental snapshot — the §3.4 fast path;
-* after every execution the VM is reset to whichever snapshot is
-  active, with the reset cost charged to the simulated clock.
+* ``run_full`` executes an input from the top, optionally capturing a
+  chain of snapshot nodes after chosen packets (the policy's picks, or
+  explicit ``snapshot`` marker ops in the input); the first node is the
+  paper's incremental snapshot, each later one an overlay on top;
+* ``run_suffix`` re-executes only the ops after a node's snapshot
+  point against that node — the §3.4 fast path;
+* after every execution the VM is reset to the node it descends from
+  (or the root), with the reset cost charged to the simulated clock.
 
 **Prefix-trace elision.**  Execution here is deterministic: replaying
 the same op prefix from the same snapshot produces the same site
@@ -45,7 +46,7 @@ from __future__ import annotations
 import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.coverage.tracer import TracerCore
 from repro.emu.interceptor import Interceptor
@@ -116,15 +117,16 @@ class ExecResult:
 
 @dataclass
 class _SuffixState:
-    """Captured host-side interceptor state at the snapshot point."""
+    """One chain node: host-side interceptor state at its snapshot
+    point."""
 
     resume_index: int
     conns: Dict
     sid_to_conn: Dict
     values_produced: int
     #: The input whose prefix produced the snapshot, and the op index
-    #: the snapshot was taken at — enough to rebuild the incremental
-    #: snapshot from the root if a restore finds it corrupted.
+    #: the snapshot was taken at — enough to rebuild the chain from
+    #: the root if a restore finds it corrupted.
     base_input: Optional[FuzzInput] = None
     snapshot_op_index: Optional[int] = None
     #: The capture run's trace recording: the per-snapshot-generation
@@ -150,9 +152,9 @@ class NyxExecutor:
         self.interceptor = interceptor
         self.tracer = tracer
         self.max_ops = max_ops
-        #: Deepest overlay chain this executor will stack (1 = the
-        #: classic single incremental snapshot; markers and multi-point
-        #: placements only chain when this allows it).
+        #: Deepest chain this executor will stack (1 = the paper's
+        #: single incremental snapshot; markers and multi-point
+        #: placements only stack overlays when this allows it).
         self.max_chain_depth = max_chain_depth
         #: Watchdog budget: simulated seconds one execution may burn
         #: before it is stopped and classified as a timeout.  ``None``
@@ -165,10 +167,10 @@ class NyxExecutor:
         #: elided vs fully-traced executions through this).
         self.trace_elision = trace_elision
         self.execs = 0
-        #: Incremental snapshots rebuilt from the root after a restore
-        #: found them corrupted (self-healing).
+        #: Snapshot chains rebuilt from the root after a restore found
+        #: them corrupted (self-healing).
         self.snapshot_rebuilds = 0
-        #: Bottom of the degradation ladder: incremental snapshots kept
+        #: Bottom of the degradation ladder: snapshot chains kept
         #: failing validation, so every run now starts from the root.
         self.degraded_root_only = False
         #: Host-side elision counters (stamped into CampaignStats).
@@ -177,9 +179,8 @@ class NyxExecutor:
         self.prefix_elided_ops = 0  # nyx: state[ephemeral]
         self.elision_invalidations = 0  # nyx: state[ephemeral]
         self._rebuild_failures = 0
-        self._suffix: Optional[_SuffixState] = None
         #: Chain nodes, shallow to deep; node ``i`` is chain depth
-        #: ``i + 1`` and ``_suffix`` aliases the deepest one.
+        #: ``i + 1``.
         self._chain_nodes: List[_SuffixState] = []
         self._recordings: "OrderedDict[int, TraceRecording]" = OrderedDict()
         self.recording_cache_limit = RECORDING_CACHE_LIMIT
@@ -197,49 +198,37 @@ class NyxExecutor:
     # ------------------------------------------------------------------
 
     def run_full(self, input_: FuzzInput,  # nyx: hot
-                 snapshot_after_packet: Optional[int] = None,
                  parent_key: Optional[int] = None,
                  snapshot_after_packets: Optional[List[int]] = None
                  ) -> ExecResult:
         """Execute the whole input from the active snapshot (root).
 
-        ``snapshot_after_packet`` is a 0-based position into the
-        input's packet list; the incremental snapshot is created right
-        after that packet is consumed, and subsequent ``run_suffix``
-        calls replay only the remainder.  ``snapshot_after_packets``
-        generalizes it to an ascending list of positions: the first
-        becomes the incremental snapshot, each later one a chain
-        overlay stacked on top (a one-element list is byte-identical to
-        the scalar form).
+        ``snapshot_after_packets`` lists 0-based positions into the
+        input's packet list (at most ``max_chain_depth`` are used): a
+        chain node is captured right after each of those packets is
+        consumed — the first is the incremental snapshot, each later
+        one an overlay on top — and subsequent ``run_suffix`` calls
+        replay only the remainder.
 
         ``parent_key`` names a recording registered through
         :meth:`remember_trace`; any op prefix the input shares with it
         replays with the tracer elided.
         """
-        self._suffix = None
         self._chain_nodes = []
         self.machine.snapshots.discard_incremental()
-        snapshot_op_index = None
-        later_ops: List[int] = []
+        snapshot_ops: List[int] = []
         if snapshot_after_packets:
             packets = input_.packet_indices()
-            points = sorted({packets[pos] for pos in snapshot_after_packets
-                             if 0 <= pos < len(packets)})
-            points = points[:self.max_chain_depth]
-            if points:
-                snapshot_op_index = points[0]
-                later_ops = points[1:]
-        elif snapshot_after_packet is not None:
-            packets = input_.packet_indices()
-            if 0 <= snapshot_after_packet < len(packets):
-                snapshot_op_index = packets[snapshot_after_packet]
+            snapshot_ops = sorted({packets[pos]
+                                   for pos in snapshot_after_packets
+                                   if 0 <= pos < len(packets)})
+            del snapshot_ops[self.max_chain_depth:]
         parent_rec = None
         if parent_key is not None:
             parent_rec = self._recordings.get(parent_key)
             if parent_rec is not None:
                 self._recordings.move_to_end(parent_key)
-        return self._run(input_, start=0, snapshot_op_index=snapshot_op_index,
-                         later_snapshot_ops=later_ops,
+        return self._run(input_, start=0, snapshot_ops=snapshot_ops,
                          parent_rec=parent_rec, record=True)
 
     def run_suffix(self, input_: FuzzInput,  # nyx: hot
@@ -264,11 +253,11 @@ class NyxExecutor:
         if not nodes:
             raise RuntimeError("no incremental snapshot to fuzz from")
         if not self.degraded_root_only:
-            self._heal_incremental(nodes[-1])
+            self._heal_chain(nodes[-1])
             nodes = self._chain_nodes
         if self.degraded_root_only or not nodes:
             # Bottom of the ladder: run the whole input from the root.
-            return self._run(input_, start=0, snapshot_op_index=None)
+            return self._run(input_, start=0)
         if depth is None or depth > len(nodes):
             depth = len(nodes)
         elif depth < 1:
@@ -297,7 +286,6 @@ class NyxExecutor:
         self.interceptor._sid_to_conn = dict(state.sid_to_conn)
         self.interceptor.reset_stale_surface()
         result = self._run(input_, start=state.resume_index,
-                           snapshot_op_index=None,
                            values_preassigned=state.values_produced,
                            parent_rec=state.capture_rec)
         result.suffix_run = True
@@ -366,8 +354,6 @@ class NyxExecutor:
         self._recordings.clear()
         for node in self._chain_nodes:
             node.capture_rec = None
-        if self._suffix is not None:
-            self._suffix.capture_rec = None
         self.elision_invalidations += 1
 
     # ------------------------------------------------------------------
@@ -398,7 +384,6 @@ class NyxExecutor:
         self.degraded_root_only = bool(state["degraded_root_only"])
         self._rebuild_failures = int(state["rebuild_failures"])
         self.machine.snapshots.restore_state(state["snapshots"])
-        self._suffix = None
         self._chain_nodes = []
         self._recordings.clear()
         self._rec_in_progress = None
@@ -468,13 +453,13 @@ class NyxExecutor:
         self.prefix_elisions += 1
         self.prefix_elided_ops += elided
 
-    def _heal_incremental(self, state: _SuffixState) -> _SuffixState:
+    def _heal_chain(self, state: _SuffixState) -> None:
         """Ensure a valid snapshot chain exists, rebuilding from the
         root as often as the rebuild budget allows.
 
         ``state`` is the deepest chain node; the replay re-creates
-        every node's snapshot point (overlay corruption tears down the
-        whole chain, so rebuilds always start from nothing).
+        every node's snapshot point (corruption tears down the whole
+        chain, so rebuilds always start from nothing).
         """
         snapshots = self.machine.snapshots
         invalidated = False
@@ -486,7 +471,7 @@ class NyxExecutor:
             if (self._rebuild_failures > self.max_snapshot_rebuilds
                     or state.base_input is None):
                 self.degraded_root_only = True
-                return state
+                return
             self.snapshot_rebuilds += 1
             points = [node.resume_index - 1 for node in self._chain_nodes
                       if node.resume_index > 0]
@@ -497,33 +482,30 @@ class NyxExecutor:
             # trailing reset restores the fresh deepest snapshot
             # (or corrupts it again, in which case we loop).  The
             # replay's trace is discarded, so it runs untraced.
-            self._run(state.base_input, start=0,
-                      snapshot_op_index=points[0] if points else None,
-                      later_snapshot_ops=points[1:],
+            self._run(state.base_input, start=0, snapshot_ops=points,
                       stop_index=state.resume_index, traced=False)
-            state = self._suffix or state
+            if self._chain_nodes:
+                state = self._chain_nodes[-1]
         self._rebuild_failures = 0
-        return state
-
-    @property
-    def suffix_resume_index(self) -> Optional[int]:
-        return self._suffix.resume_index if self._suffix else None
 
     # ------------------------------------------------------------------
     # core interpreter
     # ------------------------------------------------------------------
 
     def _run(self, input_: FuzzInput, start: int,  # nyx: hot
-             snapshot_op_index: Optional[int],
+             snapshot_ops: Sequence[int] = (),
              values_preassigned: int = 0,
              stop_index: Optional[int] = None,
              parent_rec: Optional[TraceRecording] = None,
              record: bool = False,
-             traced: bool = True,
-             later_snapshot_ops: Optional[List[int]] = None) -> ExecResult:
+             traced: bool = True) -> ExecResult:
         machine = self.machine
         kernel = self.kernel
         result = ExecResult()
+        # Ascending op indices to capture a chain node after; the first
+        # one charges the sim clock mid-run as a fresh depth-1 snapshot.
+        later_points = list(snapshot_ops)
+        snapshot_op_index = later_points.pop(0) if later_points else None
         t0 = machine.clock.now
         deadline = None
         if self.exec_timeout is not None:
@@ -575,7 +557,6 @@ class NyxExecutor:
         self._rec_in_progress = rec
         if start == 0:
             self.interceptor.reset_for_test()
-        later_points = list(later_snapshot_ops) if later_snapshot_ops else []
         took_first_point = False
         values = values_preassigned
         spec_nodes = self.op_handlers
@@ -595,18 +576,16 @@ class NyxExecutor:
             op = ops[index]
             if op.is_snapshot_marker():
                 snapshots = machine.snapshots
-                if (self.max_chain_depth > 1 and snapshots.incremental_active
-                        and self._chain_nodes
-                        and snapshots.base_depth == snapshots.chain_depth):
-                    # Chain-enabled marker: stack instead of replacing;
-                    # past the depth cap, fold the deepest layer first
-                    # so the chain stays bounded.
-                    if snapshots.chain_depth >= self.max_chain_depth:
-                        snapshots.commit_overlay()
-                        self._chain_nodes.pop(-2)
-                    self._push_chain_node(input_, index + 1, values)
-                else:
-                    self._take_incremental(input_, index + 1, values)
+                stack = (self.max_chain_depth > 1
+                         and snapshots.incremental_active
+                         and bool(self._chain_nodes)
+                         and snapshots.base_depth == snapshots.chain_depth)
+                if stack and snapshots.chain_depth >= self.max_chain_depth:
+                    # Chain-enabled marker past the depth cap: fold the
+                    # deepest layer first so the chain stays bounded.
+                    snapshots.commit_overlay()
+                    self._chain_nodes.pop(-2)
+                self._capture_node(input_, index + 1, values, stack)
                 reached = index + 1
                 continue
             handler = spec_nodes.get(op.node)
@@ -633,12 +612,11 @@ class NyxExecutor:
                 result.timed_out = True
                 break
             if snapshot_op_index is not None and index == snapshot_op_index:
-                if took_first_point:
-                    # A later placement point: stack a chain overlay on
-                    # the snapshot below it.
-                    self._push_chain_node(input_, index + 1, values)
-                else:
-                    self._take_incremental(input_, index + 1, values)
+                # Later placement points stack overlays on the node
+                # below them.
+                self._capture_node(input_, index + 1, values,
+                                   took_first_point)
+                if not took_first_point:
                     took_first_point = True
                     if rec is not None:
                         rec.charge_index = index + 1
@@ -692,31 +670,19 @@ class NyxExecutor:
         machine.reset_for_next_test()
         return result
 
-    def _take_incremental(self, input_: FuzzInput, resume_index: int,
-                          values: int) -> None:
-        """Create the secondary snapshot at the current position
-        (replacing any existing chain)."""
+    def _capture_node(self, input_: FuzzInput, resume_index: int,
+                      values: int, stack: bool) -> None:
+        """Capture a chain node at the current position: stacked on the
+        deepest node when ``stack``, else as a fresh depth-1 snapshot
+        replacing any live chain."""
         self.kernel.flush_to_memory()
-        self.machine.create_incremental()
-        state = _SuffixState(
-            resume_index=resume_index,
-            conns=copy.deepcopy(self.interceptor._conns),
-            sid_to_conn=dict(self.interceptor._sid_to_conn),
-            values_produced=values,
-            base_input=input_.copy(),
-            snapshot_op_index=resume_index - 1,
-            capture_rec=self._rec_in_progress,
-        )
-        self._suffix = state
-        self._chain_nodes = [state]
-
-    def _push_chain_node(self, input_: FuzzInput, resume_index: int,
-                         values: int) -> None:
-        """Stack a chain overlay at the current position (a deeper
-        sibling of :meth:`_take_incremental`)."""
-        self.kernel.flush_to_memory()
+        snapshots = self.machine.snapshots
+        if not stack:
+            self._chain_nodes = []
+            if snapshots.incremental_active:
+                snapshots.discard_incremental()
         self.machine.push_overlay()
-        state = _SuffixState(
+        self._chain_nodes.append(_SuffixState(
             resume_index=resume_index,
             conns=copy.deepcopy(self.interceptor._conns),
             sid_to_conn=dict(self.interceptor._sid_to_conn),
@@ -724,9 +690,7 @@ class NyxExecutor:
             base_input=input_.copy(),
             snapshot_op_index=resume_index - 1,
             capture_rec=self._rec_in_progress,
-        )
-        self._suffix = state
-        self._chain_nodes.append(state)
+        ))
 
     @property
     def chain_node_count(self) -> int:
@@ -739,13 +703,16 @@ class NyxExecutor:
             return self._chain_nodes[depth - 1].resume_index
         return None
 
+    def discard_chain(self) -> None:
+        """Drop every chain node and the snapshot chain behind them."""
+        self._chain_nodes = []
+        self.machine.snapshots.discard_incremental()
+
     def finish_snapshot_cycle(self) -> None:  # nyx: hot
         """Discard the snapshot chain and return to the root
         ("as soon as Nyx-Net wants to schedule another input, the
         incremental snapshot is discarded", §3.4)."""
-        self._suffix = None
-        self._chain_nodes = []
-        self.machine.snapshots.discard_incremental()
+        self.discard_chain()
         self.kernel.flush_to_memory()
         self.machine.restore_root()
 

@@ -16,10 +16,12 @@ the root snapshot.  The three shipped policies match the paper:
   earlier.  When [it] reaches the smallest index, it starts again from
   the end."
 
-**Chain placement (beyond the paper).**  With overlay chains enabled
-(``--max-chain-depth`` > 1) a policy may place *several* snapshot
-points per capture run (:meth:`SnapshotPolicy.choose_chain`) and then
-steer which chain node each suffix iteration resumes from
+**Chain placement (beyond the paper).**  The fuzzer always asks
+:meth:`SnapshotPolicy.choose_chain`; by default it wraps the single
+:meth:`~SnapshotPolicy.choose` point, so the paper's policies place a
+one-node chain.  With ``--max-chain-depth`` > 1 a policy may place
+*several* snapshot points per capture run and then steer which chain
+node each suffix iteration resumes from
 (:meth:`SnapshotPolicy.pick_arm` / :meth:`arm_feedback`).  The shipped
 **bandit** policy spaces its points evenly through the packet list and
 runs a UCB1 bandit over the resulting nodes: arm = chain depth, reward
@@ -67,7 +69,7 @@ class SnapshotPolicy:
                  iterations: int) -> None:
         """Called after a snapshot cycle with its outcome."""
 
-    # -- overlay-chain extensions (default: single-point behaviour) -----
+    # -- chain placement (default: the single choose() point) ----------
 
     def choose_chain(self, entry: QueueEntry, rng: DeterministicRandom,
                      max_depth: int) -> List[int]:
@@ -174,8 +176,7 @@ class BanditPolicy(SnapshotPolicy):
     checkpoints.
 
     With ``max_depth`` clamped to 1 the placement degenerates to the
-    single deepest point and the fuzzer's classic single-snapshot path
-    runs unchanged.
+    single deepest point: a one-node chain.
     """
 
     name = "bandit"

@@ -51,9 +51,8 @@ def run_macro(target: str = "lighttpd", seed: int = 1,
     campaign: ``stats_checksum`` and every sim metric must come out
     identical across backends (CI's per-backend bench-smoke pins this).
     ``max_chain_depth`` 1 (the default) is the paper's single
-    incremental snapshot; its ``stats_checksum`` must match a build
-    without chain support at all — that identity is what the committed
-    baseline pins.
+    incremental snapshot (a one-node chain); the committed baseline
+    pins its ``stats_checksum``.
     """
     from repro.fuzz.campaign import build_campaign
     from repro.targets import PROFILES

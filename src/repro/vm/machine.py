@@ -28,13 +28,12 @@ DEFAULT_DISK_SECTORS = 8192
 
 
 class Machine:
-    """A simulated whole VM with two-level snapshot support."""
+    """A simulated whole VM with root and incremental-chain snapshots."""
 
     def __init__(self, memory_bytes: int = DEFAULT_MEMORY_BYTES,
                  disk_sectors: int = DEFAULT_DISK_SECTORS,
                  costs: Optional[CostModel] = None,
-                 clock: Optional[SimClock] = None,
-                 snapshot_verify_every: int = 1) -> None:
+                 clock: Optional[SimClock] = None) -> None:
         self.costs = costs or DEFAULT_COSTS
         self.clock = clock or SimClock()
         self.memory = GuestMemory(memory_bytes)
@@ -42,8 +41,7 @@ class Machine:
         self.disk = EmulatedDisk(disk_sectors)
         self.allocator = RegionAllocator(self.memory)
         self.snapshots = SnapshotManager(
-            self.memory, self.devices, self.disk, self.clock, self.costs,
-            verify_every=snapshot_verify_every)
+            self.memory, self.devices, self.disk, self.clock, self.costs)
         # Boot-time host wiring (restore callbacks, hypercall handler):
         # registered once before the root snapshot, never per-exec.
         self._on_restore: List[Callable[[], None]] = []  # nyx: allow[reset]
@@ -51,8 +49,8 @@ class Machine:
         # hypervisor-side diagnostics, not guest state.
         self._hypercall_log: List[HypercallEvent] = []  # nyx: allow[reset]
         self._hypercall_handler: Optional[Callable[[HypercallEvent], None]] = None  # nyx: allow[reset]
-        #: Incremental restores that failed validation and fell back to
-        #: the root snapshot (see :meth:`reset_for_next_test`).
+        #: Chain restores that failed validation and fell back to the
+        #: root snapshot (see :meth:`reset_for_next_test`).
         self.snapshot_corruptions = 0
 
     # -- guest <-> host plumbing ------------------------------------------------
@@ -97,44 +95,40 @@ class Machine:
         return n
 
     def create_incremental(self) -> int:
-        """Take the secondary snapshot at the current execution point."""
+        """Take the paper's incremental snapshot (chain depth 1) at the
+        current execution point, replacing any live chain."""
         return self.snapshots.create_incremental()
 
     def restore_incremental(self) -> int:
-        """Reset to the secondary snapshot; returns pages reset."""
-        n = self.snapshots.restore_incremental()
-        self._notify_restore()
-        return n
+        """Reset to the depth-1 snapshot; returns pages reset."""
+        return self.restore_to_depth(1)
 
     def push_overlay(self) -> int:
-        """Stack a new chain layer on the current state; returns pages
-        captured."""
+        """Stack a new chain layer on the current state (depth 1 on an
+        empty chain); returns pages captured."""
         return self.snapshots.push_overlay()
 
     def restore_to_depth(self, depth: int) -> int:
-        """Reset to chain node ``depth``; returns pages reset."""
+        """Reset to chain layer ``depth``; returns pages reset."""
         n = self.snapshots.restore_to_depth(depth)
         self._notify_restore()
         return n
 
     def reset_for_next_test(self) -> int:
-        """Reset to whichever snapshot is active (deepest chain node,
-        else the incremental snapshot, else root).
+        """Reset to the chain layer the live state descends from, or
+        to the root when no chain is active.
 
         Self-healing: a snapshot layer that fails checksum validation
-        is discarded (overlay chains are torn down wholesale) and the
-        VM falls back to the (immutable, trustworthy) root snapshot
-        instead of propagating corrupt state into the next execution.
-        Callers holding suffix state notice via
-        :attr:`SnapshotManager.incremental_active` going False and
+        tears the chain down and the VM falls back to the (immutable,
+        trustworthy) root snapshot instead of propagating corrupt state
+        into the next execution.  Callers holding suffix state notice
+        via :attr:`SnapshotManager.incremental_active` going False and
         rebuild from the root.
         """
         snaps = self.snapshots
         if snaps.incremental_active:
             try:
-                if snaps.chain_depth > 1:
-                    return self.restore_to_depth(snaps.base_depth)
-                return self.restore_incremental()
+                return self.restore_to_depth(snaps.base_depth)
             except SnapshotCorruption:
                 self.snapshot_corruptions += 1
         return self.restore_root()

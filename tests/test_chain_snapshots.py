@@ -3,10 +3,11 @@
 Covers the QCOW2-style backing chain the bandit placement runs over:
 push/restore/commit/discard semantics, device and disk capture per
 layer, accounting, corruption teardown — plus a hypothesis state
-machine that checks any interleaving of chain operations against a
-flat model that stores every layer as a full state copy, and a
-depth-1 equivalence test pinning the chain API to the classic
-single-incremental path (state *and* sim clock).
+machine that checks any interleaving of chain operations (the paper's
+incremental create and root restore included) against a flat model
+that stores every layer as a full state copy, and a depth-1
+equivalence test pinning the chain API to the paper's names (state
+*and* sim clock).
 """
 
 import pytest
@@ -39,11 +40,20 @@ def chain_machine(layers):
 
 
 class TestChainBasics:
-    def test_push_requires_incremental(self):
+    def test_push_onto_empty_chain_is_incremental_create(self):
         m = small_machine()
-        m.capture_root()
         with pytest.raises(SnapshotError):
-            m.push_overlay()
+            m.push_overlay()  # no root to stack on
+        m.capture_root()
+        m.memory.write(0, b"one")
+        assert m.push_overlay() == 1
+        assert m.snapshots.chain_depth == 1
+        stats = m.snapshots.stats
+        assert (stats.incremental_creates, stats.overlay_pushes) == (1, 0)
+        m.memory.write(0, b"two")
+        m.restore_incremental()
+        assert m.memory.read(0, 3) == b"one"
+        assert stats.incremental_restores == 1
 
     def test_push_requires_deepest_base(self):
         m = chain_machine([b"one", b"two"])
@@ -200,7 +210,7 @@ class TestChainAccounting:
 class TestChainCorruption:
     def test_corrupt_overlay_detected_and_chain_torn_down(self):
         m = chain_machine([b"one", b"two", b"three"])
-        overlay = m.snapshots._overlays[0]
+        overlay = m.snapshots._layers[1]
         idx = next(iter(overlay.checksums))
         overlay.mirror[idx] = b"\xff" * PAGE_SIZE
         with pytest.raises(SnapshotCorruption):
@@ -213,7 +223,7 @@ class TestChainCorruption:
 
     def test_reset_for_next_test_falls_back_to_root(self):
         m = chain_machine([b"one", b"two"])
-        overlay = m.snapshots._overlays[0]
+        overlay = m.snapshots._layers[1]
         idx = next(iter(overlay.checksums))
         overlay.mirror[idx] = b"\xff" * PAGE_SIZE
         m.memory.write(20 * PAGE_SIZE, b"junk")
@@ -235,8 +245,11 @@ class ChainModel(RuleBasedStateMachine):
     The model stores each chain node as a complete (memory, nic, timer,
     disk) state — the semantics a chain of CoW overlays must be
     observationally indistinguishable from.  ``base`` mirrors which
-    node the live state descends from (pushes are only legal from the
-    deepest node, as in the real manager).
+    node the live state descends from (0 = the root; pushes are only
+    legal from the deepest node, as in the real manager).  The paper's
+    incremental create replaces the chain from any base, and root
+    restores end a cycle, so the recycled depth-1 mirror's stale
+    reverts run across cycles.
     """
 
     def __init__(self):
@@ -267,15 +280,22 @@ class ChainModel(RuleBasedStateMachine):
         self.machine.devices.nic.on_rx(64)
         self.live_nic += 1
 
-    @precondition(lambda self: not self.stack)
     @rule()
     def create_incremental(self):
         self.machine.create_incremental()
         self.stack = [self._state()]
         self.base = 1
 
-    @precondition(lambda self: self.stack
-                  and self.base == len(self.stack) < 5)
+    @rule()
+    def restore_root(self):
+        self.machine.restore_root()
+        self.live_mem = {}
+        self.live_nic = 0
+        self.live_disk = {}
+        self.stack = []
+        self.base = 0
+
+    @precondition(lambda self: self.base == len(self.stack) < 5)
     @rule()
     def push_overlay(self):
         self.machine.push_overlay()
@@ -320,6 +340,23 @@ class ChainModel(RuleBasedStateMachine):
             want = self.live_disk.get(sector, 0)
             assert self.machine.disk.read_sector(sector)[0] == want, sector
         assert self.machine.snapshots.chain_depth == len(self.stack)
+
+    @invariant()
+    def private_pages_match_identity(self):
+        """Footprint accounting follows page identity: a live page is
+        private iff it is not the root's page object, and a depth-1
+        mirror entry counts iff it is a real copy."""
+        snapshots = self.machine.snapshots
+        count = snapshots.private_page_count()  # absorbs the dirty log
+        root_pages = snapshots.root.pages
+        live = self.machine.memory._pages
+        mirror = snapshots._recycled.mirror
+        live_private = {i for i in range(N_PAGES)
+                        if live[i] is not root_pages[i]}
+        assert snapshots._private == live_private
+        copies = sum(1 for i in range(N_PAGES)
+                     if mirror[i] is not root_pages[i])
+        assert count == len(live_private) + copies
 
 
 ChainModel.TestCase.settings = settings(

@@ -273,7 +273,7 @@ class TestPrefixElision:
         # snapshot op, never elide the whole run.
         machine, kernel, interceptor, executor = traced_echo()
         base = packets_input([b"p1", b"p2", b"p3"])
-        parent = executor.run_full(base, snapshot_after_packet=1)
+        parent = executor.run_full(base, snapshot_after_packets=[1])
         assert parent.recording.charge_index is not None
         executor.remember_trace(1, parent)
         executor.finish_snapshot_cycle()
@@ -370,7 +370,7 @@ class TestElisionInvalidation:
         executor.run_suffix(base)
         assert executor.elision_invalidations >= 1
         assert not executor._recordings
-        assert executor._suffix.capture_rec is None
+        assert executor._chain_nodes[-1].capture_rec is None
 
         # With the recordings dropped, the child runs fully traced and
         # the tampered fold can do no harm.

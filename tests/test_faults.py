@@ -271,7 +271,8 @@ class TestSelfHealingSnapshots:
         machine.create_incremental()
         root_page_ids = {id(p) for p in machine.snapshots.root.pages}
         for idx in machine.snapshots.mirror_private_pages():
-            assert id(machine.snapshots._mirror[idx]) not in root_page_ids
+            assert (id(machine.snapshots._recycled.mirror[idx])
+                    not in root_page_ids)
         injector.force_next(FaultKind.SNAPSHOT_BITFLIP)
         injector.on_incremental_restore(machine.snapshots)
         # Root page contents unchanged by the flip.
@@ -284,8 +285,8 @@ class TestSelfHealingSnapshots:
         handles.interceptor.injector = injector
         handles.machine.snapshots.injector = injector
         seed_input = PROFILES["lightftp"].seeds()[1]  # 7 packets
-        handles.executor.run_full(seed_input, snapshot_after_packet=4)
-        resume = handles.executor.suffix_resume_index
+        handles.executor.run_full(seed_input, snapshot_after_packets=[4])
+        resume = handles.executor.chain_resume_index(1)
         assert resume is not None
         # Corrupt the *next* incremental restore; the suffix run after
         # it must transparently rebuild from the root.
@@ -301,10 +302,10 @@ class TestSelfHealingSnapshots:
         handles = build_campaign(PROFILES["lightftp"], policy="none",
                                  seed=0, time_budget=1e9, max_execs=1000)
         seed_input = PROFILES["lightftp"].seeds()[1]
-        handles.executor.run_full(seed_input, snapshot_after_packet=4)
+        handles.executor.run_full(seed_input, snapshot_after_packets=[4])
         # Amputate the rebuild recipe and kill the snapshot: healing
         # cannot succeed, so the executor must degrade, not loop.
-        handles.executor._suffix.base_input = None
+        handles.executor._chain_nodes[-1].base_input = None
         handles.machine.snapshots.discard_incremental()
         result = handles.executor.run_suffix(seed_input)
         assert handles.executor.degraded_root_only
@@ -371,6 +372,38 @@ class TestWorkerSupervision:
         before = victim.fuzzer.clock.now
         campaign._handle_worker_failure(victim)
         assert victim.fuzzer.clock.now > before
+
+    def test_failure_mid_suffix_cycle_drops_chain_nodes(self):
+        # lightftp sessions are long enough for the aggressive policy
+        # to snapshot, so the injected failure lands between the
+        # capture run and the suffix runs: the heal path must leave no
+        # chain node pointing at the snapshot it discarded.
+        campaign = build_parallel_campaign(
+            PROFILES["lightftp"], workers=2, policy="aggressive", seed=1,
+            time_budget=3.0, max_total_execs=300)
+        campaign.config.failure_backoff = 0.0
+        victim = campaign.workers[0]
+        real_suffix = victim.executor.run_suffix
+        blows = {"left": 1}
+
+        def flaky_suffix(*args, **kwargs):
+            if blows["left"] > 0:
+                blows["left"] -= 1
+                raise RuntimeError("injected mid-cycle failure")
+            return real_suffix(*args, **kwargs)
+
+        victim.executor.run_suffix = flaky_suffix
+        real_handle = campaign._handle_worker_failure
+        healed = []
+
+        def handle(worker):
+            real_handle(worker)
+            healed.append((worker.executor.chain_node_count,
+                           worker.machine.snapshots.incremental_active))
+
+        campaign._handle_worker_failure = handle
+        campaign.run()
+        assert healed == [(0, False)]
 
     def test_killer_entry_is_quarantined_fleet_wide(self):
         campaign = tiny_parallel_campaign()

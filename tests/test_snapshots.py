@@ -140,6 +140,25 @@ class TestIncrementalSnapshot:
             m.restore_root()
         assert m.snapshots.stats.remirrors >= 1
 
+    def test_remirror_forgets_stale_checksums(self):
+        # The re-mirror starts from a clean CoW view of the root: CRCs
+        # of the dropped copies must go with them, or the next restore
+        # reports a corruption that never happened.
+        m = small_machine()
+        m.capture_root()
+        for i in range(REMIRROR_PERIOD):
+            m.memory.write(0, b"a%d" % i)
+            m.memory.write(PAGE_SIZE, b"b%d" % i)
+            m.create_incremental()
+            m.restore_root()
+        m.memory.write(0, b"fresh")
+        m.create_incremental()
+        assert m.snapshots.stats.remirrors == 1
+        m.memory.write(0, b"junk!")
+        m.restore_incremental()
+        assert m.memory.read(0, 5) == b"fresh"
+        assert m.snapshots.stats.corruption_detected == 0
+
     def test_reset_for_next_test_prefers_incremental(self):
         m = small_machine()
         m.capture_root()
@@ -183,6 +202,23 @@ class TestSharedRootSnapshot:
         b.memory.write(7 * PAGE_SIZE, b"y")
         # Shared instance owns only its two diverged pages.
         assert b.snapshots.private_page_count() <= 4
+
+    def test_private_count_follows_page_identity(self):
+        # Page 5's second capture puts a CoW *root* reference into the
+        # recycled mirror (the page was reset to root content); the
+        # restore that follows must count neither that mirror entry nor
+        # the live page it restores as private.  Only page 3 is owned:
+        # once live, once as its mirror copy.
+        m = small_machine()
+        m.capture_root()
+        m.memory.write(3 * PAGE_SIZE, b"three")
+        m.create_incremental()
+        m.memory.write(5 * PAGE_SIZE, b"five")
+        m.restore_incremental()
+        m.create_incremental()
+        m.memory.write(5 * PAGE_SIZE, b"five")
+        m.restore_incremental()
+        assert m.snapshots.private_page_count() == 2
 
     def test_geometry_mismatch_rejected(self):
         a = small_machine()
