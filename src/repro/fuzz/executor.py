@@ -14,24 +14,32 @@ snapshot machinery:
   (or the root), with the reset cost charged to the simulated clock.
 
 **Prefix-trace elision.**  Execution here is deterministic: replaying
-the same op prefix from the same snapshot produces the same site
+the same ops from the same snapshot boundary produces the same site
 stream, byte for byte.  The executor exploits that to stop paying the
 tracer for work a previous execution already recorded:
 
-* every traced from-root run records per-op *boundary marks* into its
-  packed site stream (a :class:`TraceRecording`); the fuzzer registers
-  recordings for corpus entries via :meth:`NyxExecutor.remember_trace`;
-* when a mutated child shares an op prefix with its parent's
-  recording, that prefix replays with the tracer suspended and
+* every traced run records per-op *boundary marks* into its packed
+  site stream (a :class:`TraceRecording`); from-root runs record in
+  root coordinates, suffix runs relative to their chain node;
+* when a run shares ops with a from-root recording past its start
+  boundary, that stretch replays with the tracer suspended and
   :meth:`~repro.coverage.tracer.TracerCore.take_trace` is seeded with
-  the recorded prefix fold instead — the combined trace is
-  byte-identical to a fully-traced run (pinned by the differential
-  and property suites);
-* suffix runs elide the unmutated sub-prefix after the snapshot point
-  the same way, against the snapshot-capture run's recording held in
-  :class:`_SuffixState` — so the fold is cached once per snapshot
-  generation and replaced with the snapshot (placement moves and
-  ``finish_snapshot_cycle`` drop it with the state);
+  the recorded fold instead — the combined trace is byte-identical to
+  a fully-traced run (pinned by the differential and property suites).
+  From-root children elide against their parent entry's recording;
+  suffix runs elide against the node's capture-run recording held in
+  :class:`_SuffixState`, which lives and dies with the node;
+* the fuzzer registers recordings for corpus entries via
+  :meth:`NyxExecutor.remember_trace`; an entry found by a suffix run
+  gets a from-root recording by stitching the capture run's prefix
+  onto the suffix stream at that point (and only then);
+* a recording stays valid as long as a replay could only diverge from
+  it through sim time, which inside a run only the watchdog and guest
+  timers read.  So a replay never elides past the first boundary after
+  its start where the recording's run charged a policy-chosen capture
+  (*charge points*), never through the op where an incomplete
+  recording stopped (a watchdog cut is mid-op), and not at all while a
+  guest timer is pending — timer deadlines are absolute sim times;
 * recordings are invalidated wholesale whenever snapshot state is in
   doubt — a corrupted restore (heal/rebuild) or degradation to
   root-only — and elision disarms entirely while a fault injector is
@@ -59,23 +67,30 @@ from repro.vm.snapshot import SnapshotCorruption
 #: Handler signature: (executor, op, resolved connection id) -> None.
 OpHandler = Callable[["NyxExecutor", object, Optional[int]], None]
 
-#: Parent recordings kept per executor (LRU) for from-root elision.
+#: Corpus-entry recordings kept per executor (LRU), keyed by entry id;
+#: all in root coordinates (suffix-run recordings are stitched first).
 RECORDING_CACHE_LIMIT = 128
 
 
 @dataclass
 class TraceRecording:
-    """Replayable trace of one from-root execution.
+    """Replayable trace of one execution from a snapshot boundary.
 
-    ``marks[i]`` is the site-stream position just before op ``i``
-    executed; one final mark is appended where the op loop exited, so
-    ``len(marks) - 1`` ops have known boundaries.  ``packed`` is the
-    full packed stream (including the post-loop drain), ``ijon_marks``
-    the cumulative IJON counts at each boundary (None where empty).
-    All fields are treated as immutable once ``packed`` is set.
+    ``origin`` is the op index the run started at: 0 for a from-root
+    run, a chain node's resume index for a suffix run.  ``marks[i]`` is
+    the run's site-stream position just before op ``origin + i``
+    executed; one final mark is appended where the op loop exited.
+    ``packed`` is the run's full packed stream (including the post-loop
+    drain), ``ijon_marks`` the cumulative IJON counts at each boundary
+    (None where empty).  A suffix run's recording also holds ``base``,
+    the node's from-root capture recording, which
+    :meth:`NyxExecutor.remember_trace` stitches it onto.  All fields
+    are treated as immutable once ``packed`` is set.
     """
 
     ops: Tuple
+    origin: int = 0
+    base: Optional["TraceRecording"] = None
     marks: List[int] = field(default_factory=list)
     ijon_marks: List[Optional[Dict[int, int]]] = field(default_factory=list)
     packed: Optional[bytes] = None
@@ -83,12 +98,12 @@ class TraceRecording:
     #: True when the recorded run executed every op without crash,
     #: timeout or max-ops clamping — required for whole-run reuse.
     complete: bool = False
-    #: Boundary index where a *policy-chosen* snapshot charged the sim
-    #: clock mid-run (None: no such charge).  A replay without that
-    #: charge may lawfully diverge afterwards, so elision against this
-    #: recording stops here.  Marker-op snapshots need no clamp — they
-    #: fire identically in every run of the same ops.
-    charge_index: Optional[int] = None
+    #: Ascending op boundaries where a *policy-chosen* capture charged
+    #: the sim clock mid-run.  A replay starting at boundary ``b``
+    #: elides at most up to the first charge point after ``b``.
+    #: Marker-op snapshots need no entry — they fire identically in
+    #: every run of the same ops.
+    charge_points: List[int] = field(default_factory=list)
 
 
 @dataclass
@@ -109,9 +124,10 @@ class ExecResult:
     #: True when the watchdog stopped the run: the target exceeded its
     #: per-exec simulated-time budget (the paper's timeout class).
     timed_out: bool = False
-    #: Boundary-marked trace of this run (from-root traced runs only);
-    #: the fuzzer hands it to :meth:`NyxExecutor.remember_trace` when
-    #: the input joins the corpus.
+    #: Boundary-marked trace of this run (None for untraced runs and
+    #: for suffix runs with no capture recording to stitch onto); the
+    #: fuzzer hands it to :meth:`NyxExecutor.remember_trace` when the
+    #: input joins the corpus.
     recording: Optional[TraceRecording] = None
 
 
@@ -129,11 +145,12 @@ class _SuffixState:
     #: the root if a restore finds it corrupted.
     base_input: Optional[FuzzInput] = None
     snapshot_op_index: Optional[int] = None
-    #: The capture run's trace recording: the per-snapshot-generation
-    #: fold cache that suffix runs elide their unmutated sub-prefix
-    #: against.  Lives and dies with this state, so placement moves and
-    #: rebuilds can never serve a stale fold (None after an untraced
-    #: rebuild replay: elision simply stays off until the next capture).
+    #: The capture run's from-root trace recording: what suffix runs
+    #: elide their unmutated head against and stitch their own
+    #: recordings onto.  Lives and dies with this state, so placement
+    #: moves and rebuilds can never serve a stale fold (None after an
+    #: untraced rebuild replay or a capture inside a suffix run:
+    #: elision simply stays off until the next capture).
     capture_rec: Optional[TraceRecording] = None
 
 
@@ -287,7 +304,7 @@ class NyxExecutor:
         self.interceptor.reset_stale_surface()
         result = self._run(input_, start=state.resume_index,
                            values_preassigned=state.values_produced,
-                           parent_rec=state.capture_rec)
+                           parent_rec=state.capture_rec, record=True)
         result.suffix_run = True
         return result
 
@@ -326,9 +343,11 @@ class NyxExecutor:
 
         The fuzzer calls this when an input joins the corpus, keyed by
         its entry id; children mutated from that entry then pass the
-        key to :meth:`run_full`.  LRU-bounded.  ``replace=False`` keeps
-        an existing recording (e.g. an unclamped discovery-run
-        recording beats a charge-clamped capture-run one).
+        key to :meth:`run_full`.  A suffix run's node-relative
+        recording is stitched into a from-root one here, so only novel
+        runs pay for it.  LRU-bounded.  ``replace=False`` keeps an
+        existing recording (e.g. an unclamped discovery-run recording
+        beats a charge-clamped capture-run one).
         """
         rec = result.recording
         if rec is None or rec.packed is None:
@@ -337,6 +356,38 @@ class NyxExecutor:
         if not replace and key in recordings:
             recordings.move_to_end(key)
             return False
+        origin = rec.origin
+        if origin:
+            # Replaying ops[:origin] from the root reaches the node
+            # exactly as the capture run did, so the from-root stream
+            # is the capture's prefix followed by this run's stream.
+            base = rec.base
+            if (base is None or base.packed is None
+                    or len(base.marks) <= origin
+                    or base.ops[:origin] != rec.ops[:origin]):
+                return False
+            shift = base.marks[origin]
+            marks = base.marks[:origin]
+            marks.extend([mark + shift for mark in rec.marks])
+            tail = rec.ijon_marks + [rec.final_ijon]
+            ijon_base = base.ijon_marks[origin]
+            if ijon_base:
+                summed = []
+                for at in tail:
+                    total = dict(ijon_base)
+                    for edge, count in (at or {}).items():
+                        total[edge] = total.get(edge, 0) + count
+                    summed.append(total)
+                tail = summed
+            rec = TraceRecording(
+                ops=rec.ops, marks=marks,
+                ijon_marks=base.ijon_marks[:origin] + tail[:-1],
+                packed=base.packed[:shift * 8] + rec.packed,
+                final_ijon=tail[-1], complete=rec.complete,
+                # The capture at ``origin`` charged before this run
+                # began; only charges inside the prefix stay mid-run.
+                charge_points=[point for point in base.charge_points
+                               if point < origin] + rec.charge_points)
         recordings[key] = rec
         recordings.move_to_end(key)
         while len(recordings) > self.recording_cache_limit:
@@ -389,32 +440,46 @@ class NyxExecutor:
         self._rec_in_progress = None
 
     def _elision_blocked(self) -> bool:
-        """Elision disarms while fault injection is active: injected
-        faults fire on deterministic schedules of their *own*, so a
-        replayed prefix may diverge from its recording."""
+        """Elision disarms while fault injection is active (injected
+        faults fire on deterministic schedules of their *own*) and while
+        any live guest process has a pending timer (deadlines are
+        absolute sim times, so a replay at a later time may fire a
+        timer its recording never saw): either way a replayed prefix
+        may diverge from its recording."""
         if not self.trace_elision or self.tracer is None:
             return True
         if getattr(self.interceptor, "injector", None) is not None:
             return True
         if getattr(self.machine.snapshots, "injector", None) is not None:
             return True
+        for proc in self.kernel.processes.values():
+            if proc.alive and proc.timer_deadline is not None:
+                return True
         return False
 
     def _plan_elision(self, ops, start: int, end: int,
                       rec: TraceRecording) -> Optional[Tuple[int, bool]]:
         """How far the input's ops match the recording.
 
-        Returns ``(resume_index, whole_run)``: the prefix
-        ``ops[start:resume_index]`` is byte-covered by the recording.
+        ``rec`` is a from-root recording and ``start`` a boundary it
+        passed.  Returns ``(resume_index, whole_run)``: the ops
+        ``ops[start:resume_index]`` are byte-covered by the recording.
         ``whole_run`` means the entire execution (including the
         post-loop drain) is covered, so the tracer never resumes.
         """
         if rec.packed is None:
             return None
         rec_ops = rec.ops
-        limit = min(end, len(rec_ops), len(rec.marks) - 1)
-        if rec.charge_index is not None:
-            limit = min(limit, rec.charge_index)
+        # The final mark of an incomplete run may sit mid-op (the
+        # watchdog cuts kernel.run short): never elide through that op.
+        known = len(rec.marks) - (1 if rec.complete else 2)
+        limit = min(end, len(rec_ops), known)
+        clamped = False
+        for point in rec.charge_points:
+            if point > start:
+                limit = min(limit, point)
+                clamped = True
+                break
         k = start
         while k < limit:
             a = ops[k]
@@ -425,33 +490,48 @@ class NyxExecutor:
         if k <= start:
             return None
         whole = (k == end == len(ops) and len(ops) == len(rec_ops)
-                 and rec.complete and rec.charge_index is None)
+                 and rec.complete and not clamped)
         return k, whole
 
     def _elide_resume(self, rec: TraceRecording, start: int,
-                      until: Optional[int]) -> None:
+                      until: Optional[int],
+                      into: Optional[TraceRecording] = None) -> None:
         """Seed the tracer with the recorded fold for ``[start, until)``
-        (``until=None``: through the end of the recorded stream)."""
+        (``until=None``: through the end of the recorded stream) and
+        give ``into``, the recording in progress, the window's boundary
+        marks in the coordinates of a run that started at ``start``."""
         marks = rec.marks
         lo = marks[start]
         if until is None:
             prefix = rec.packed[lo * 8:]
             ijon_at = rec.final_ijon
             elided = len(rec.ops) - start
+            stop = len(marks)
         else:
             prefix = rec.packed[lo * 8:marks[until] * 8]
             ijon_at = rec.ijon_marks[until]
             elided = until - start
+            stop = until
+        ijon_base = rec.ijon_marks[start]
         ijon_seed = ijon_at
-        if ijon_at and start > 0:
-            base = rec.ijon_marks[start]
-            if base:
-                ijon_seed = {edge: count - base.get(edge, 0)
-                             for edge, count in ijon_at.items()
-                             if count - base.get(edge, 0) > 0}
+        if ijon_at and ijon_base:
+            ijon_seed = {edge: count - ijon_base.get(edge, 0)
+                         for edge, count in ijon_at.items()
+                         if count - ijon_base.get(edge, 0) > 0}
         self.tracer.elide_resume(prefix, ijon_seed)
         self.prefix_elisions += 1
         self.prefix_elided_ops += elided
+        if into is not None:
+            into.marks.extend([mark - lo for mark in marks[start:stop]])
+            window = rec.ijon_marks[start:stop]
+            if ijon_base:
+                # Cumulative counts never shrink within a run, so every
+                # boundary in the window holds at least the base's.
+                window = [{edge: count - ijon_base.get(edge, 0)
+                           for edge, count in at.items()
+                           if count - ijon_base.get(edge, 0) > 0} or None
+                          for at in window]
+            into.ijon_marks.extend(window)
 
     def _heal_chain(self, state: _SuffixState) -> None:
         """Ensure a valid snapshot chain exists, rebuilding from the
@@ -534,8 +614,11 @@ class NyxExecutor:
         elide_until: Optional[int] = None
         elide_whole = False
         suspended = False
+        blocked = True
         if (tracer is not None and parent_rec is not None
-                and stop_index is None and not self._elision_blocked()):
+                and stop_index is None):
+            blocked = self._elision_blocked()
+        if not blocked:
             # A policy-chosen snapshot charges the sim clock mid-run
             # (the recording's run had no such charge), so behavior
             # past the snapshot point may lawfully diverge: elide at
@@ -552,8 +635,15 @@ class NyxExecutor:
                 tracer.elide_suspend()
                 suspended = True
         rec: Optional[TraceRecording] = None
-        if record and tracer is not None and start == 0 and stop_index is None:
-            rec = TraceRecording(ops=tuple(ops))
+        if record and tracer is not None and stop_index is None:
+            if start == 0:
+                rec = TraceRecording(ops=tuple(ops))
+            elif not blocked:
+                # Suffix run: record relative to the node, stitchable
+                # onto the capture run's recording if the input turns
+                # out novel.
+                rec = TraceRecording(ops=tuple(ops), origin=start,
+                                     base=parent_rec)
         self._rec_in_progress = rec
         if start == 0:
             self.interceptor.reset_for_test()
@@ -562,17 +652,13 @@ class NyxExecutor:
         spec_nodes = self.op_handlers
         reached = start
         for index in range(start, end):
-            if rec is not None:
-                if suspended:
-                    rec.marks.append(parent_rec.marks[index])
-                    rec.ijon_marks.append(parent_rec.ijon_marks[index])
-                else:
-                    rec.marks.append(tracer.stream_pos()
-                                     + tracer.prefix_site_count)
-                    rec.ijon_marks.append(tracer.ijon_snapshot())
             if suspended and not elide_whole and index == elide_until:
-                self._elide_resume(parent_rec, start, index)
+                self._elide_resume(parent_rec, start, index, rec)
                 suspended = False
+            if rec is not None and not suspended:
+                rec.marks.append(tracer.stream_pos()
+                                 + tracer.prefix_site_count)
+                rec.ijon_marks.append(tracer.ijon_snapshot())
             op = ops[index]
             if op.is_snapshot_marker():
                 snapshots = machine.snapshots
@@ -616,27 +702,22 @@ class NyxExecutor:
                 # below them.
                 self._capture_node(input_, index + 1, values,
                                    took_first_point)
-                if not took_first_point:
-                    took_first_point = True
-                    if rec is not None:
-                        rec.charge_index = index + 1
+                took_first_point = True
+                if rec is not None:
+                    rec.charge_points.append(index + 1)
                 snapshot_op_index = (later_points.pop(0) if later_points
                                      else None)
-        if rec is not None:
-            # Final boundary: where the op loop exited.
-            if suspended:
-                rec.marks.append(parent_rec.marks[reached])
-                rec.ijon_marks.append(parent_rec.ijon_marks[reached])
-            else:
-                rec.marks.append(tracer.stream_pos()
-                                 + tracer.prefix_site_count)
-                rec.ijon_marks.append(tracer.ijon_snapshot())
         if suspended and not elide_whole:
-            # The loop broke (crash/timeout — deterministically mirrored
-            # from the recording) before the planned resume boundary:
-            # seed what was covered and trace the drain live.
-            self._elide_resume(parent_rec, start, reached)
+            # The loop broke (crash/timeout) before the planned resume
+            # boundary: seed what was covered and trace the drain live.
+            self._elide_resume(parent_rec, start, reached, rec)
             suspended = False
+        if rec is not None and not suspended:
+            # Final boundary: where the op loop exited (a whole-run
+            # elision copies it with the rest of the recording's marks).
+            rec.marks.append(tracer.stream_pos()
+                             + tracer.prefix_site_count)
+            rec.ijon_marks.append(tracer.ijon_snapshot())
         if not result.timed_out:
             # Let the target finish pending work (responses, cleanup).
             kernel.run()
@@ -646,7 +727,7 @@ class NyxExecutor:
             kernel.crash_reports.clear()
         if suspended:
             # Whole-run elision: the recording covers the drain too.
-            self._elide_resume(parent_rec, start, None)
+            self._elide_resume(parent_rec, start, None, rec)
             suspended = False
         if tracer is not None:
             result.trace = tracer.take_trace()
@@ -677,6 +758,10 @@ class NyxExecutor:
         replacing any live chain."""
         self.kernel.flush_to_memory()
         snapshots = self.machine.snapshots
+        rec = self._rec_in_progress
+        if rec is not None and rec.origin:
+            # Captured inside a suffix run: no from-root recording.
+            rec = None
         if not stack:
             self._chain_nodes = []
             if snapshots.incremental_active:
@@ -689,7 +774,7 @@ class NyxExecutor:
             values_produced=values,
             base_input=input_.copy(),
             snapshot_op_index=resume_index - 1,
-            capture_rec=self._rec_in_progress,
+            capture_rec=rec,
         ))
 
     @property

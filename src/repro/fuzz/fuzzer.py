@@ -348,8 +348,9 @@ class NyxNetFuzzer:
                                         snapshot_after_packets=list(points),
                                         parent_key=entry.entry_id)
         self._process_result(base, result, count_as_new_input=False)
-        # Entries discovered by suffix runs carry no recording of their
-        # own; this capture run's (charge-clamped) recording fills in.
+        # Entries keep their own (or stitched) recording; one without
+        # (evicted from the LRU, dropped by a resume or heal) gets this
+        # capture run's charge-clamped one.
         self.executor.remember_trace(entry.entry_id, result, replace=False)
         if self.executor.chain_node_count == 0:
             # Snapshot creation failed (e.g. crash before the first

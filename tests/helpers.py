@@ -155,3 +155,26 @@ def boot_echo(port: int = 7):
     kernel.flush_to_memory(full=True)
     machine.capture_root()
     return machine, kernel
+
+
+class AnnotatedEchoServer(EchoServer):
+    """Echo server whose per-chunk work shows up beyond the edge trace:
+    each chunk burns ``cpu_per_chunk`` simulated seconds (watchdog
+    tests) and, with ``ijon``, marks IJON slot ``len(chunk) % 8``."""
+
+    name = "annotated-echo"
+
+    def __init__(self, port: int = 7, cpu_per_chunk: float = 0.0,
+                 ijon: bool = False) -> None:
+        super().__init__(port)
+        self.cpu_per_chunk = cpu_per_chunk
+        self.ijon = ijon
+
+    def poll(self, api) -> None:
+        handled = len(self.seen)
+        super().poll(api)
+        for chunk in self.seen[handled:]:
+            if self.cpu_per_chunk:
+                api.cpu(self.cpu_per_chunk)
+            if self.ijon:
+                api.ijon_set(len(chunk) % 8)

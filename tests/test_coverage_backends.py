@@ -274,12 +274,13 @@ class TestPrefixElision:
         machine, kernel, interceptor, executor = traced_echo()
         base = packets_input([b"p1", b"p2", b"p3"])
         parent = executor.run_full(base, snapshot_after_packets=[1])
-        assert parent.recording.charge_index is not None
+        assert parent.recording.charge_points
         executor.remember_trace(1, parent)
         executor.finish_snapshot_cycle()
         rerun = executor.run_full(base, parent_key=1)
-        # Elided ops never exceed the charge clamp.
-        assert executor.prefix_elided_ops <= parent.recording.charge_index
+        # Elided ops never exceed the first charge point.
+        assert (executor.prefix_elided_ops
+                <= parent.recording.charge_points[0])
         executor.trace_elision = False
         executor.finish_snapshot_cycle()
         reference = executor.run_full(base)
@@ -318,6 +319,50 @@ class TestPrefixElision:
         assert executor.remember_trace(1, first)
         assert not executor.remember_trace(1, second, replace=False)
         assert executor._recordings[1] is first.recording
+
+
+class TimerEchoServer(EchoServer):
+    """Echo server with a background timer whose handler is traced
+    (it lives in this module, unlike the echo logic)."""
+
+    name = "timer-echo"
+    timer_period = 5.0
+
+    def __init__(self, port: int = 7) -> None:
+        super().__init__(port)
+        self.ticks = 0
+
+    def on_timer(self, api) -> None:
+        self.ticks += 1
+
+
+class TestTimerElision:
+    def test_pending_timer_disarms_elision(self):
+        # Timer deadlines are absolute sim times restored with the
+        # snapshot: a parent recorded before the deadline and a child
+        # replayed after it see different guest behaviour, so the
+        # child must trace live.
+        machine = Machine(memory_bytes=16 * 1024 * 1024)
+        kernel = Kernel(machine)
+        interceptor = Interceptor(kernel, AttackSurface.tcp_server(7))
+        kernel.spawn(TimerEchoServer(7))
+        kernel.run()
+        kernel.flush_to_memory(full=True)
+        machine.capture_root()
+        tracer = EdgeTracer(traced_fragments=("helpers",
+                                              "test_coverage_backends"))
+        executor = NyxExecutor(machine, kernel, interceptor, tracer)
+        base = packets_input([b"one", b"two", b"three"])
+        parent = executor.run_full(base)
+        assert executor.remember_trace(1, parent)
+
+        machine.clock.charge(2 * TimerEchoServer.timer_period)
+        child = executor.run_full(base, parent_key=1)
+        executor.trace_elision = False
+        reference = executor.run_full(base)
+        assert reference.trace != parent.trace  # the timer fired
+        assert child.trace == reference.trace
+        assert executor.prefix_elisions == 0
 
 
 # ----------------------------------------------------------------------

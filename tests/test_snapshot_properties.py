@@ -197,7 +197,7 @@ def test_snapshot_costs_scale_with_dirty_pages(n_small, n_large):
 # ----------------------------------------------------------------------
 
 
-def _traced_executor():
+def _traced_executor(program=None, **executor_kwargs):
     from repro.coverage.tracer import EdgeTracer
     from repro.emu.interceptor import Interceptor
     from repro.emu.surface import AttackSurface
@@ -207,12 +207,13 @@ def _traced_executor():
     machine = Machine(memory_bytes=16 * 1024 * 1024)
     kernel = Kernel(machine)
     interceptor = Interceptor(kernel, AttackSurface.tcp_server(7))
-    kernel.spawn(EchoServer(7))
+    kernel.spawn(program if program is not None else EchoServer(7))
     kernel.run()
     kernel.flush_to_memory(full=True)
     machine.capture_root()
     tracer = EdgeTracer(traced_fragments=("helpers",))
-    return machine, NyxExecutor(machine, kernel, interceptor, tracer)
+    return machine, NyxExecutor(machine, kernel, interceptor, tracer,
+                                **executor_kwargs)
 
 
 def _elision_sequence(machine, executor, base, child):
@@ -238,16 +239,113 @@ def _elision_sequence(machine, executor, base, child):
     return traces
 
 
+def _policy_sequence(executor, base, points, mutated):
+    """Policy-chosen chain nodes, then from-root children of inputs
+    found by suffix runs; returns the traces and the stitched
+    recordings (none with elision off).
+
+    The capture run stacks a node after each packet in ``points``.
+    From every node a child mutated just before the next node's
+    snapshot point (the last packet for the deepest node) runs as a
+    suffix, so it resumes from exactly that node and elides the
+    unmutated ops in between.  Each suffix result is then remembered
+    as a corpus entry, and three from-root children run against its
+    stitched recording: the input itself (whole-run elision), one with
+    its last packet mutated and one mutated right at the node, so the
+    elided window ends inside the stretch the suffix run elided too.
+    Also returns, per entry, the ops the last-packet child elided.
+    """
+    traces = []
+    executor.finish_snapshot_cycle()
+    traces.append(executor.run_full(
+        base, snapshot_after_packets=points).trace)
+    last = base.packet_indices()[-1]
+    depths = executor.chain_node_count
+    found = []
+    for depth in range(1, depths + 1):
+        child = base.copy()
+        if depth < depths:
+            at = executor.chain_resume_index(depth + 1) - 1
+        else:
+            at = last
+        child.with_payload(at, bytes(mutated) + bytes([depth]))
+        result = executor.run_suffix(child, depth=depth)
+        traces.append(result.trace)
+        found.append((child, result, executor.chain_resume_index(depth)))
+    executor.finish_snapshot_cycle()
+    stitched = {}
+    elided_ops = []
+    for key, (child, result, resume) in enumerate(found, start=10):
+        if executor.remember_trace(key, result):
+            stitched[key] = (child, executor._recordings[key])
+        at_last = child.copy()
+        at_last.with_payload(last, bytes(mutated) + b"+")
+        at_node = child.copy()
+        at_node.with_payload(resume, bytes(mutated) + b"-")
+        before = executor.prefix_elided_ops
+        traces.append(executor.run_full(at_last, parent_key=key).trace)
+        elided_ops.append(executor.prefix_elided_ops - before)
+        for run in (child, at_node):
+            traces.append(executor.run_full(run, parent_key=key).trace)
+    return traces, stitched, elided_ops
+
+
+def _assert_stitched_match_full_runs(executor, stitched):
+    """Every stitched recording equals a fully traced from-root run."""
+    executor.trace_elision = False
+    for child, rec in stitched.values():
+        result = executor.run_full(child)
+        assert executor.tracer.last_packed == rec.packed
+        assert executor.tracer.ijon_snapshot() == rec.final_ijon
+        assert rec.complete == (result.crash is None)
+    executor.trace_elision = True
+
+
+def _check_policy_elision(program_factory, payloads, mutated, data):
+    """Elided vs fully traced policy sequences at depth 1 and 3."""
+    n_packets = len(payloads)
+    choices = [[data.draw(st.integers(0, n_packets - 2))],
+               data.draw(st.lists(st.integers(0, n_packets - 2),
+                                  min_size=3, max_size=3, unique=True))]
+    from repro.fuzz.input import packets_input
+    base = packets_input(payloads)
+    for points in choices:
+        machine, executor = _traced_executor(program_factory(),
+                                             max_chain_depth=3)
+        elided, stitched, elided_ops = _policy_sequence(
+            executor, base, sorted(points), mutated)
+        assert executor.chain_node_count == 0
+        assert executor.prefix_elisions >= 1
+        assert len(stitched) == len(points)
+        # The entry found from node 1 carries no charge point inside
+        # its stitched recording: its child elides straight past the
+        # node, up to the mutated last packet.
+        assert elided_ops[0] == base.packet_indices()[-1]
+        _assert_stitched_match_full_runs(executor, stitched)
+        executor.trace_elision = False
+        plain, none, _ = _policy_sequence(executor, base, sorted(points),
+                                          mutated)
+        assert not none
+        assert elided == plain
+
+
 @given(payloads=st.lists(st.binary(min_size=1, max_size=6),
                          min_size=2, max_size=4),
-       mutated=st.binary(min_size=0, max_size=8))
+       mutated=st.binary(min_size=0, max_size=8),
+       more=st.lists(st.binary(min_size=1, max_size=6),
+                     min_size=2, max_size=3),
+       data=st.data())
 @settings(max_examples=15, deadline=None)
-def test_prefix_elision_equals_full_tracing(payloads, mutated):
+def test_prefix_elision_equals_full_tracing(payloads, mutated, more, data):
     """Elision is invisible: every run's trace is byte-identical to the
     same sequence executed with elision disabled — through from-root
-    elision, whole-run elision, suffix elision and heal/rebuild."""
+    elision, whole-run elision, suffix elision and heal/rebuild; through
+    suffix runs from every node of policy-chosen chains at depth 1 and
+    3; and through from-root children of suffix-found inputs eliding
+    against their stitched recordings."""
     from repro.fuzz.input import FuzzInput
     from repro.spec.bytecode import Op
+    from tests.helpers import EchoServer
 
     ops = [Op("connection"), Op("packet", (0,), (bytes(payloads[0]),)),
            Op("snapshot")]
@@ -276,3 +374,48 @@ def test_prefix_elision_equals_full_tracing(payloads, mutated):
     armed = _elision_sequence(machine, executor, base, child)
     assert executor.prefix_elisions == before
     assert armed == plain
+
+    _check_policy_elision(lambda: EchoServer(7), payloads + more, mutated,
+                          data)
+
+
+@given(payloads=st.lists(st.binary(min_size=1, max_size=9),
+                         min_size=4, max_size=6),
+       mutated=st.binary(min_size=0, max_size=8),
+       data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_prefix_elision_carries_ijon_counts(payloads, mutated, data):
+    """IJON slot hits live outside the site stream; elided windows and
+    stitched recordings must still carry them exactly."""
+    from tests.helpers import AnnotatedEchoServer
+    _check_policy_elision(lambda: AnnotatedEchoServer(7, ijon=True),
+                          payloads, mutated, data)
+
+
+def test_suffix_elision_stops_before_watchdog_cut():
+    """The capture run times out after the snapshot point, the suffix
+    run does not: the cut op's recorded stream is partial, so elision
+    must stop before it."""
+    from repro.fuzz.input import packets_input
+    from tests.helpers import AnnotatedEchoServer
+    # Each chunk burns 10 ms: the from-root capture run of six packets
+    # hits the 45 ms budget during packet 4 (op 5); a suffix run from
+    # the node after packet 1 runs four packets and finishes.
+    machine, executor = _traced_executor(
+        AnnotatedEchoServer(7, cpu_per_chunk=0.01), exec_timeout=0.045)
+    base = packets_input([b"p%d" % i for i in range(6)])
+    capture = executor.run_full(base, snapshot_after_packets=[1])
+    assert capture.timed_out
+    assert capture.recording.marks and not capture.recording.complete
+    cut = len(capture.recording.marks) - 2
+    resume = executor.chain_resume_index(1)
+    assert resume < cut < len(base.ops)
+    child = base.copy()
+    child.with_payload(base.packet_indices()[-1], b"mutated")
+    elided = executor.run_suffix(child)
+    assert not elided.timed_out
+    executor.trace_elision = False
+    reference = executor.run_suffix(child)
+    assert elided.trace == reference.trace
+    assert executor.prefix_elisions == 1
+    assert executor.prefix_elided_ops == cut - resume
