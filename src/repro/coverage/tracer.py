@@ -8,7 +8,13 @@ sparse AFL-style trace, using AFL's ``cur ^ (prev >> 1)`` edge formula.
 
 Only code whose filename matches the configured path fragments is
 traced, so the kernel, fuzzer and harness never pollute coverage —
-the analogue of only instrumenting the target binary.
+the analogue of only instrumenting the target binary.  The settrace
+backend goes one step further and runs syscall bodies outside the
+trace window altogether: programs get a window view of their
+:class:`~repro.guestos.kernel.KernelApi` whose syscalls remove the
+hook on entry and put it back on exit (:class:`_SyscallWindow`), the
+way Nyx-Net's guest kernel and agent run uninstrumented (before
+CPython 3.12; see :data:`SYSCALL_WINDOW`).
 
 The module is split into a backend-independent :class:`TracerCore`
 (site stream, fold memo, IJON slots, prefix-fold seeding) and the
@@ -31,9 +37,10 @@ straightforward implementation:
   the packed stream under an LRU cap;
 * the executor's prefix-trace elision suspends collection across an
   op prefix that a previous recording already proved deterministic and
-  seeds :meth:`take_trace` with the recorded prefix fold instead
+  seeds :meth:`take_trace` with the recorded prefix stream instead
   (:meth:`elide_suspend` / :meth:`elide_resume`), yielding the same
-  bytes without re-paying the per-line callbacks.
+  bytes without re-paying the per-line callbacks; a memo miss then
+  folds only the live stream into the prefix's memoised fold.
 """
 
 from __future__ import annotations
@@ -41,9 +48,11 @@ from __future__ import annotations
 import sys
 from array import array as _array
 from collections import OrderedDict
+from types import FunctionType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coverage.bitmap import MAP_SIZE
+from repro.guestos.kernel import KernelApi
 
 try:  # Optional acceleration for the per-exec fold; results identical.
     import numpy as _np
@@ -68,6 +77,15 @@ DEFAULT_TRACED_FRAGMENTS = ("/repro/targets/", "/repro/mario/target")
 #: Bitmap region where IJON state annotations land (distinct from the
 #: hash range used by code edges only probabilistically, like IJON).
 IJON_BASE = 0xF000
+
+#: Whether :class:`EdgeTracer` runs syscalls outside the trace window.
+#: Before CPython 3.12 an installed ``sys.settrace`` hook runs every
+#: frame in the interpreter's slow tracing mode, so unhooking syscall
+#: bodies pays for itself many times over.  From 3.12 on settrace sits
+#: on ``sys.monitoring``, untraced frames run at full speed anyway, and
+#: every hook toggle makes the interpreter re-instrument each code
+#: object it runs next — a zoo campaign ran ~1.8x slower windowed.
+SYSCALL_WINDOW = sys.version_info < (3, 12)
 
 #: Fold-memo LRU cap.  Mutated inputs mostly retrace known paths, so a
 #: campaign's distinct streams stay far below this; the cap exists so
@@ -151,23 +169,20 @@ class TracerCore:
 
         Returns a fresh dict each call; the stream itself is only
         cleared by :meth:`begin`, so repeated calls agree.  When a
-        prefix fold was seeded via :meth:`elide_resume`, the live
-        suffix is folded with the prefix's last site as its previous
-        site and merged — byte-identical to having traced the whole
-        run.
+        prefix fold was seeded via :meth:`elide_resume`, the trace is
+        that of the joined stream — byte-identical to having traced the
+        whole run — but a memo miss folds only the live stream (see
+        :meth:`_fold_packed`).
         """
         # Bytes key: one C-level pack + hash instead of building and
         # hashing a 300-element tuple per execution.
         packed = _array("Q", self._stream).tobytes()
         prefix = self._prefix_packed
         if prefix:
-            # Folding the concatenation is identical to folding the
-            # prefix and then the suffix seeded with the prefix's last
-            # site (the edge chain just runs through the join) — and
-            # the joined stream is byte-equal to a fully-traced run's,
+            # The joined stream is byte-equal to a fully-traced run's,
             # so elided and traced runs share fold-memo entries.
             packed = prefix + packed
-        trace = dict(self._fold_packed(packed, 0))
+        trace = dict(self._fold_packed(packed, prefix))
         self.last_packed = packed
         if self._ijon:
             get = trace.get
@@ -176,43 +191,49 @@ class TracerCore:
         self.trace = trace
         return trace
 
-    def _fold_packed(self, packed: bytes, prev: int) -> Dict[int, int]:
-        """Memoized fold of a packed site stream seeded with ``prev``.
+    def _fold_packed(self, packed: bytes, prefix: bytes = b"") -> Dict[int, int]:
+        """Memoized fold of a packed site stream.
 
-        Returns a shared dict — callers copy before mutating.  Seeded
-        folds get a tag byte in their memo key: a plain packed stream
-        is always a multiple of 8 bytes, so the 9-bytes-mod-8 tagged
-        key can never collide with an untagged one.
+        ``prefix`` is a leading part of ``packed`` whose fold is
+        memoised on its own.  On a miss, only the rest of ``packed`` is
+        folded — seeded with the prefix's last site, so the edge chain
+        runs through the join — and counted into a copy of the prefix
+        fold.  Returns a shared dict; callers copy before mutating.
         """
         if not packed:
             return {}
-        key = packed if prev == 0 else (
-            b"\x01" + prev.to_bytes(8, "little") + packed)
         cache = self._fold_cache
-        cached = cache.get(key)
+        cached = cache.get(packed)
         if cached is not None:
-            cache.move_to_end(key)
+            cache.move_to_end(packed)
             return cached
+        if prefix and len(prefix) < len(packed):
+            trace = dict(self._fold_packed(prefix))
+            first = len(prefix) // 8
+        else:
+            trace, first = {}, 0
         size = self.map_size
-        if _np is not None and len(packed) > 512:
+        if _np is not None and len(packed) - len(prefix) > 512:
             sites = _np.frombuffer(packed, dtype=_np.uint64)
-            edges = _np.empty(len(sites), _np.uint64)
-            edges[0] = (int(sites[0]) ^ (prev >> 1)) % size
-            _np.bitwise_xor(sites[1:], sites[:-1] >> 1, out=edges[1:])
+            edges = _np.empty(len(sites) - first, _np.uint64)
+            prev = int(sites[first - 1]) if first else 0
+            edges[0] = (int(sites[first]) ^ (prev >> 1)) % size
+            _np.bitwise_xor(sites[first + 1:], sites[first:-1] >> 1,
+                            out=edges[1:])
             edges %= size
-            trace: Dict[int, int] = {}
             _count_elements(trace, edges.tolist())
         else:
-            trace = {}
+            sites = _array("Q", packed)
+            prev = sites[first - 1] if first else 0
             trace_get = trace.get
-            for site in _array("Q", packed):
+            for site in sites[first:]:
                 edge = (site ^ (prev >> 1)) % size
                 prev = site
                 trace[edge] = trace_get(edge, 0) + 1
         if len(cache) >= self.fold_memo_limit:
             cache.popitem(last=False)
             self.fold_evictions += 1
-        cache[key] = trace
+        cache[packed] = trace
         return trace
 
     def ijon_set(self, slot: int) -> None:
@@ -301,19 +322,29 @@ class EdgeTracer(TracerCore):
         self._entry_cache: Dict[int, Optional[Tuple[int, Callable]]] = {}
         self._global = self._build_global()
         self._depth = 0
+        #: Trace function installed before the outermost :meth:`run`.
+        self._outer: Optional[Callable] = None
 
     # -- execution wrapper --------------------------------------------------
 
     def run(self, fn: Callable, *args) -> None:  # nyx: hot
         """Run ``fn(*args)`` with tracing enabled.
 
-        Re-entrant: nested calls keep the existing trace hook.  While
-        suspended (prefix elision), runs plain.
+        A guest program (``fn(api)`` with a :class:`KernelApi`) gets
+        the syscall window view of its api, so syscall bodies run with
+        the hook removed.  Re-entrant: nested calls keep the existing
+        trace hook.  While suspended (prefix elision), runs plain.  On
+        leaving the outermost call, whatever trace function was
+        installed before (a debugger, coverage.py) is put back.
         """
         if self._suspended:
             fn(*args)
             return
+        if SYSCALL_WINDOW and len(args) == 1 and type(args[0]) is KernelApi:
+            # Built before the hook goes in: its frames stay untraced.
+            args = (self._window(args[0]),)
         if self._depth == 0:
+            self._outer = sys.gettrace()
             sys.settrace(self._global)
         self._depth += 1
         try:
@@ -321,7 +352,11 @@ class EdgeTracer(TracerCore):
         finally:
             self._depth -= 1
             if self._depth == 0:
-                sys.settrace(None)
+                sys.settrace(self._outer)
+
+    def _window(self, api: KernelApi) -> object:  # nyx: hot
+        """The view of ``api`` a program sees while hooks are live."""
+        return _SyscallWindow(api, self._global)
 
     # -- trace hooks -----------------------------------------------------------
 
@@ -380,3 +415,53 @@ class EdgeTracer(TracerCore):
         except KeyError:
             entry = self._make_entry(code)
             return None if entry is None else entry[0]
+
+
+class _SyscallWindow:  # nyx: hot
+    """Window view of a :class:`KernelApi`: syscalls run untraced.
+
+    Target code calls into the kernel constantly, and with the hook
+    installed every kernel, interceptor and clock frame below those
+    calls fires a trace callback and runs in the interpreter's slow
+    tracing mode, only for :meth:`EdgeTracer._make_entry` to reject
+    it.  Each public syscall on the view removes the hook on entry and
+    puts the tracer's global hook back on exit, raise or return.  No
+    syscall calls back into target code, so the target's own events —
+    and the site stream — are unchanged.
+
+    Syscalls dispatch through ``KernelApi``'s class attributes at call
+    time, so wrappers installed on the class after import (the
+    profiler, benchmark spans) see every call.  Anything else (plain
+    attributes, the ``proc`` property) resolves on the api itself.
+    """
+
+    __slots__ = ("_api", "_hook")
+
+    def __init__(self, api: KernelApi, hook: Callable) -> None:
+        self._api = api
+        self._hook = hook
+
+    def __getattr__(self, name: str):
+        return getattr(self._api, name)
+
+
+def _untraced_syscall(name: str) -> Callable:  # nyx: hot
+    """Window method for ``KernelApi.<name>``: the body runs unhooked."""
+    settrace = sys.settrace
+
+    def syscall(self, *args, **kwargs):
+        settrace(None)
+        try:
+            return getattr(KernelApi, name)(self._api, *args, **kwargs)
+        finally:
+            settrace(self._hook)
+
+    syscall.__name__ = name
+    syscall.__qualname__ = "_SyscallWindow." + name
+    return syscall
+
+
+for _name, _value in list(vars(KernelApi).items()):
+    if not _name.startswith("_") and isinstance(_value, FunctionType):
+        setattr(_SyscallWindow, _name, _untraced_syscall(_name))
+del _name, _value

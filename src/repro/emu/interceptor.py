@@ -35,6 +35,17 @@ class _ConnState:
     packets_delivered: int = 0
     responses: List[bytes] = field(default_factory=list)
 
+    def copy(self) -> "_ConnState":
+        """Independent copy for a snapshot node or a suffix run.
+
+        Payloads are immutable ``bytes``, so only the two lists need
+        copying; a deep copy walks every packet for the same result at
+        about ten times the cost.
+        """
+        return _ConnState(self.conn_id, self.sid, list(self.queue),
+                          self.closed_by_fuzzer, self.packets_delivered,
+                          list(self.responses))
+
 
 class Interceptor:
     """Hooks the kernel's syscall surface for one machine."""

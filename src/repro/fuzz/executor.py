@@ -51,7 +51,6 @@ frames) register extra op handlers.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -299,7 +298,8 @@ class NyxExecutor:
         # exactly as it was at the snapshot point.  Suffix runs skip
         # reset_for_test (the snapshot point is mid-test), so stale
         # surface sockets from the previous suffix run are pruned here.
-        self.interceptor._conns = copy.deepcopy(state.conns)
+        self.interceptor._conns = {
+            conn_id: conn.copy() for conn_id, conn in state.conns.items()}
         self.interceptor._sid_to_conn = dict(state.sid_to_conn)
         self.interceptor.reset_stale_surface()
         result = self._run(input_, start=state.resume_index,
@@ -769,7 +769,8 @@ class NyxExecutor:
         self.machine.push_overlay()
         self._chain_nodes.append(_SuffixState(
             resume_index=resume_index,
-            conns=copy.deepcopy(self.interceptor._conns),
+            conns={conn_id: conn.copy() for conn_id, conn
+                   in self.interceptor._conns.items()},
             sid_to_conn=dict(self.interceptor._sid_to_conn),
             values_produced=values,
             base_input=input_.copy(),

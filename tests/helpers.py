@@ -6,6 +6,7 @@ processes — programs included — are pickled into guest memory.
 
 from __future__ import annotations
 
+from repro.coverage.tracer import EdgeTracer
 from repro.guestos.errors import Errno, GuestError
 from repro.guestos.kernel import Kernel
 from repro.guestos.process import Program
@@ -178,3 +179,12 @@ class AnnotatedEchoServer(EchoServer):
                 api.cpu(self.cpu_per_chunk)
             if self.ijon:
                 api.ijon_set(len(chunk) % 8)
+
+
+class PlainApiTracer(EdgeTracer):
+    """Settrace tracer that hands programs the plain :class:`KernelApi`,
+    so syscall bodies run inside the trace window: the reference the
+    shipped syscall window view is differentially tested against."""
+
+    def _window(self, api):
+        return api

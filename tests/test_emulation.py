@@ -129,6 +129,24 @@ class TestExecutor:
             assert result.packets_consumed == 2
             assert interceptor.responses(0)[-1].startswith(b"3:")
 
+    def test_suffix_runs_leave_the_node_connection_view_alone(self):
+        # Each suffix run starts from a copy of the node's host-side
+        # connection view; queueing and replies must not reach back.
+        machine, kernel, interceptor, executor = echo_campaign()
+        inp = packets_input([b"p1", b"p2", b"p3"])
+        executor.run_full(inp, snapshot_after_packets=[0])
+        node = executor._chain_nodes[-1]
+
+        def view():
+            return {cid: (list(c.queue), list(c.responses))
+                    for cid, c in node.conns.items()}
+
+        before = view()
+        for _ in range(3):
+            executor.run_suffix(inp)
+            assert interceptor.responses(0)[-1].startswith(b"3:")
+        assert view() == before
+
     def test_finish_cycle_returns_to_root(self):
         machine, kernel, interceptor, executor = echo_campaign()
         inp = packets_input([b"p1", b"p2"])
