@@ -127,8 +127,8 @@ def fixpoint_check(obj: Any) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 class _StopAtExecs:
-    """Parallel-campaign controller parking the fleet at the first
-    slice boundary at or past the target exec count."""
+    """Run-loop controller parking a campaign at the first step (fleet:
+    slice) boundary at or past the target exec count."""
 
     def __init__(self, campaign, target: int) -> None:
         self.campaign = campaign
@@ -137,7 +137,7 @@ class _StopAtExecs:
     def should_stop(self) -> bool:
         return self.campaign.total_execs() >= self.target
 
-    def after_slice(self, campaign, worker) -> None:
+    def after_slice(self, campaign, unit) -> None:
         pass
 
 
@@ -173,8 +173,10 @@ def _child_report(resume_dir: str, epoch: Optional[int], until_execs: int,
     Opens only the checkpoint store and manifest — never the journal,
     whose open path truncates torn tails and belongs to the parent.
     """
-    from repro.fuzz.journal import CheckpointStore, read_manifest
-    from repro.perf.macro import stats_checksum
+    from repro.fuzz.campaign import campaign_from_manifest
+    from repro.fuzz.journal import (CHECKPOINT_KEYS, CheckpointStore,
+                                    read_manifest, restore_campaign)
+    from repro.fuzz.stats import stats_checksum
     from repro.targets import PROFILES
     manifest = read_manifest(resume_dir)
     profile = PROFILES.get(manifest.get("target"))
@@ -186,51 +188,21 @@ def _child_report(resume_dir: str, epoch: Optional[int], until_execs: int,
         if not epochs:
             raise SystemExit("no checkpoint epochs under %s" % resume_dir)
         epoch = epochs[-1]
-    state = store.load(epoch)
-    fixpoint: List[dict] = []
-
-    if manifest.get("kind") == "parallel":
-        from repro.fuzz.campaign import build_parallel_campaign_from_manifest
-        campaign = build_parallel_campaign_from_manifest(profile, manifest)
-        baseline, _trunc = state_digest(state["campaign"])
-        campaign.restore_state(state["campaign"])
-        relanded, _trunc = state_digest(campaign.snapshot_state())
-        for path, before, after in _digest_delta(baseline, relanded):
-            fixpoint.append({"path": path, "before": before,
-                             "after": after})
-        campaign.run(controller=_StopAtExecs(campaign, until_execs))
-        if inject:
-            _inject_regression(campaign, inject)
-        final = campaign.snapshot_state()
-        checksum = stats_checksum(campaign.aggregate().merged)
-        execs = campaign.total_execs()
-    else:
-        from repro.fuzz.campaign import build_campaign_from_manifest
-        handles = build_campaign_from_manifest(profile, manifest)
-        fuzzer = handles.fuzzer
-        if fuzzer.config.sanitize_every:
-            # Mirror resume_campaign: re-arm before the clock restore.
-            fuzzer._arm_sanitizer()
-        baseline, _trunc = state_digest(state["fuzzer"])
-        fuzzer.restore_state(state["fuzzer"])
-        relanded, _trunc = state_digest(fuzzer.snapshot_state())
-        for path, before, after in _digest_delta(baseline, relanded):
-            fixpoint.append({"path": path, "before": before,
-                             "after": after})
-        while fuzzer.stats.execs < until_execs:
-            if not fuzzer.step():
-                break
-        if inject:
-            _inject_regression(fuzzer, inject)
-        final = fuzzer.snapshot_state()
-        checksum = stats_checksum(fuzzer.stats)
-        execs = fuzzer.stats.execs
-
-    digest, truncated = state_digest(final)
+    campaign = campaign_from_manifest(profile, manifest)
+    saved = store.load(epoch)[CHECKPOINT_KEYS[campaign.durable_kind]]
+    baseline, _trunc = state_digest(saved)
+    restore_campaign(campaign, saved)
+    relanded, _trunc = state_digest(campaign.snapshot_state())
+    fixpoint = [{"path": path, "before": before, "after": after}
+                for path, before, after in _digest_delta(baseline, relanded)]
+    campaign.run_campaign(controller=_StopAtExecs(campaign, until_execs))
+    if inject:
+        _inject_regression(campaign, inject)
+    digest, truncated = state_digest(campaign.snapshot_state())
     return {
         "epoch": epoch,
-        "execs": execs,
-        "stats_checksum": checksum,
+        "execs": campaign.total_execs(),
+        "stats_checksum": stats_checksum(campaign.merged_stats()),
         "digest": digest,
         "fixpoint": fixpoint,
         "truncated": truncated,

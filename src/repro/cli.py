@@ -158,20 +158,29 @@ def _fuzz_parallel(args: argparse.Namespace, profile) -> int:
                          for key in w.fuzzer.crashes.records})
     for bug in crash_keys:
         print("  CRASH %s" % bug)
-    if args.distill:
-        print("(--distill is ignored with --workers > 1)")
-    if args.sanitize_resets is not None:
-        print("(--sanitize-resets is ignored with --workers > 1)")
-    if args.max_chain_depth > 1:
-        print("(--max-chain-depth is ignored with --workers > 1; workers "
-              "run the classic single incremental snapshot)")
-    if args.fault_plan:
-        print("(--fault-plan is ignored with --workers > 1; each worker "
-              "derives its plan from --seed and --fault-rate)")
+    _ignored_with_workers(args)
     if args.out:
         written = save_parallel_campaign(campaign, args.out)
         print("saved %d files to %s" % (written, args.out))
     return 0
+
+
+def _ignored_with_workers(args: argparse.Namespace) -> None:
+    """Print a notice for each flag a fleet ignores and reset it to what
+    the fleet actually runs, so a durable manifest records the truth."""
+    if args.distill:
+        print("(--distill is ignored with --workers > 1)")
+    if args.sanitize_resets is not None:
+        print("(--sanitize-resets is ignored with --workers > 1)")
+        args.sanitize_resets = None
+    if args.max_chain_depth > 1:
+        print("(--max-chain-depth is ignored with --workers > 1; workers "
+              "run the classic single incremental snapshot)")
+        args.max_chain_depth = 1
+    if args.fault_plan:
+        print("(--fault-plan is ignored with --workers > 1; each worker "
+              "derives its plan from --seed and --fault-rate)")
+        args.fault_plan = None
 
 
 #: Parser defaults for the flags a durable campaign's manifest records.
@@ -219,8 +228,8 @@ def _fuzz_durable(args: argparse.Namespace, profile) -> int:
     """``fuzz --checkpoint-every N``: a journaled, resumable campaign."""
     from repro.coverage.backends import BackendUnavailable
     from repro.faults import PlanError
-    from repro.fuzz.journal import (DurableCampaign, DurableParallelCampaign,
-                                    campaign_manifest)
+    from repro.fuzz.campaign import campaign_from_manifest
+    from repro.fuzz.journal import DurableCampaign, campaign_manifest
     if not args.out:
         print("--checkpoint-every needs --out DIR (the durable campaign "
               "directory the journal, checkpoints and manifest live in)",
@@ -229,6 +238,8 @@ def _fuzz_durable(args: argparse.Namespace, profile) -> int:
     if args.distill:
         print("(--distill is ignored with --checkpoint-every)")
     kind = "parallel" if args.workers > 1 else "single"
+    if kind == "parallel":
+        _ignored_with_workers(args)
     manifest = campaign_manifest(
         kind, args.target, policy=args.policy, seed=args.seed,
         time_budget=args.time, max_execs=args.execs,
@@ -241,20 +252,10 @@ def _fuzz_durable(args: argparse.Namespace, profile) -> int:
         verify_checkpoints=args.verify_checkpoints,
         max_chain_depth=args.max_chain_depth)
     try:
-        if kind == "parallel":
-            from repro.fuzz.campaign import (
-                build_parallel_campaign_from_manifest)
-            campaign = build_parallel_campaign_from_manifest(profile,
-                                                             manifest)
-            durable = DurableParallelCampaign(
-                campaign, args.out, checkpoint_every=args.checkpoint_every,
-                manifest=manifest, verify_every=args.verify_checkpoints)
-        else:
-            from repro.fuzz.campaign import build_campaign_from_manifest
-            handles = build_campaign_from_manifest(profile, manifest)
-            durable = DurableCampaign(
-                handles, args.out, checkpoint_every=args.checkpoint_every,
-                manifest=manifest, verify_every=args.verify_checkpoints)
+        durable = DurableCampaign(
+            campaign_from_manifest(profile, manifest), args.out,
+            checkpoint_every=args.checkpoint_every, manifest=manifest,
+            verify_every=args.verify_checkpoints)
     except PlanError as err:
         print("invalid fault plan: %s" % err, file=sys.stderr)
         return 2
@@ -330,10 +331,11 @@ def _run_durable(durable) -> int:
               % durable.directory)
         print("resume with: repro fuzz --resume %s" % durable.directory)
         return 3
-    if durable.kind == "parallel":
-        print(result.summary())
-        _print_robustness(result.merged)
-        campaign = durable.campaign
+    campaign = durable.campaign
+    totals = campaign.merged_stats()
+    print(result.summary())
+    _print_robustness(totals)
+    if durable.fleet:
         retired = campaign.retired_workers()
         if retired:
             print("retired workers: %s" % ", ".join(map(str, retired)))
@@ -341,22 +343,18 @@ def _run_durable(durable) -> int:
                            for key in w.fuzzer.crashes.records}):
             print("  CRASH %s" % bug)
     else:
-        stats = result
-        print(stats.summary())
-        _print_robustness(stats)
-        fuzzer = durable.fuzzer
-        for bug in fuzzer.crashes.unique_bugs:
-            record = fuzzer.crashes.records[bug]
+        for bug in campaign.crashes.unique_bugs:
+            record = campaign.crashes.records[bug]
             print("  CRASH %-40s t=%.2fs x%d" % (bug, record.found_at,
                                                  record.count))
-        if stats.sanitizer_checks:
-            print("reset sanitizer: %d checks, %d leaks"
-                  % (stats.sanitizer_checks, stats.sanitizer_leaks))
+    if totals.sanitizer_checks:
+        print("reset sanitizer: %d checks, %d leaks"
+              % (totals.sanitizer_checks, totals.sanitizer_leaks))
+        for fuzzer in campaign.fuzzers:
             for diag in fuzzer.sanitizer_findings:
                 print("  %s" % diag.format())
-            if stats.sanitizer_leaks:
-                return 1
-    totals = result.merged if durable.kind == "parallel" else result
+        if totals.sanitizer_leaks:
+            return 1
     print("durability: %d checkpoints written, %d stale epochs pruned, "
           "%d verifications, %d divergences"
           % (totals.checkpoints_written, totals.checkpoint_epochs_pruned,

@@ -211,3 +211,12 @@ def build_parallel_campaign_from_manifest(profile: TargetProfile,
         fault_rate=manifest.get("fault_rate", 0.0),
         exec_timeout=manifest.get("exec_timeout"),
         coverage_backend=manifest.get("coverage_backend", "auto"))
+
+
+def campaign_from_manifest(profile: TargetProfile, manifest: dict):
+    """The campaign a durable manifest describes, ready for
+    :class:`repro.fuzz.journal.DurableCampaign`: the fuzzer of a
+    ``single`` campaign or the fleet of a ``parallel`` one."""
+    if manifest.get("kind") == "parallel":
+        return build_parallel_campaign_from_manifest(profile, manifest)
+    return build_campaign_from_manifest(profile, manifest).fuzzer

@@ -107,11 +107,23 @@ class NyxNetFuzzer:
     # campaign
     # ------------------------------------------------------------------
 
-    def run_campaign(self) -> CampaignStats:
-        """Run until the time budget or exec cap is exhausted."""
+    def run_campaign(self, controller=None) -> Optional[CampaignStats]:
+        """Run until the time budget or exec cap is exhausted.
+
+        ``controller`` (the campaign durability layer) is asked
+        ``should_stop()`` before every step and told
+        ``after_slice(fuzzer, fuzzer)`` after it — the protocol
+        ``ParallelCampaign.run`` speaks per worker slice.  A stop
+        returns ``None`` without finishing, parked at a step boundary.
+        """
         self.begin_campaign()
-        while self.step():
-            pass
+        while True:
+            if controller is not None and controller.should_stop():
+                return None
+            if not self.step():
+                break
+            if controller is not None:
+                controller.after_slice(self, self)
         return self.finish_campaign()
 
     def begin_campaign(self) -> None:
@@ -208,6 +220,23 @@ class NyxNetFuzzer:
     # ------------------------------------------------------------------
     # durability (checkpoint/resume)
     # ------------------------------------------------------------------
+
+    #: The durable-campaign protocol (:class:`repro.fuzz.journal.
+    #: DurableCampaign`, with :meth:`begin_campaign`, :meth:`run_campaign`
+    #: and the state pair below): a lone fuzzer is a campaign of one.
+    durable_kind = "single"
+
+    @property
+    def fuzzers(self) -> list:
+        return [self]
+
+    def total_execs(self) -> int:
+        return self.stats.execs
+
+    def result(self) -> CampaignStats:
+        return self.stats
+
+    merged_stats = result
 
     #: Version stamp inside every checkpointed fuzzer state; bumped on
     #: any incompatible change so resume fails loudly, never subtly.

@@ -27,6 +27,15 @@ checkpoint, exact-state resume):
   Resume validates it and refuses mismatched configs with a clear
   diagnostic instead of silently producing incomparable results.
 
+One driver, :class:`DurableCampaign`, keeps all three for any campaign
+that speaks the small campaign protocol — a lone
+:class:`~repro.fuzz.fuzzer.NyxNetFuzzer` or a
+:class:`~repro.fuzz.parallel.ParallelCampaign` fleet.  The campaign's
+run loop polls the driver's ``should_stop()`` before each step (fleet:
+worker slice) and calls its ``after_slice()`` after it, where the
+driver journals progress, verifies a due checkpoint and writes a
+periodic one.
+
 Resume restores the newest valid checkpoint and *continues stepping*:
 because every component is deterministic on the sim clock, re-running
 the window between the checkpoint and the kill regenerates it
@@ -79,9 +88,9 @@ _MAX_PAYLOAD = 1 << 28
 #: ``journal.append`` call against this registry, and
 #: :meth:`Journal.append` enforces it at runtime.
 FRAME_KINDS: Dict[str, str] = {
-    "corpus_add": "salvage_corpus_blobs / _tail_summary corpus adds",
-    "crash": "_tail_summary crash recovery count",
-    "watermark": "_tail_summary journal_execs recovery watermark",
+    "corpus_add": "salvage_corpus_blobs / _merge_tails corpus adds",
+    "crash": "_merge_tails crash recovery count",
+    "watermark": "_merge_tails journal_execs recovery watermark",
     "checkpoint": "recovery reporting (epoch audit trail)",
     "graceful_stop": "recovery reporting (clean-drain marker)",
     "complete": "recovery reporting (finalization marker)",
@@ -437,8 +446,25 @@ class GracefulShutdown:
 
 
 # ----------------------------------------------------------------------
-# durable single-instance campaigns
+# the durable campaign driver
 # ----------------------------------------------------------------------
+
+#: Key of the campaign's snapshot in a checkpoint state, per kind.
+CHECKPOINT_KEYS = {"single": "fuzzer", "parallel": "campaign"}
+
+
+def restore_campaign(campaign, state: dict) -> None:
+    """Adopt a checkpointed campaign state on a freshly built campaign.
+
+    Sanitizers are re-armed first: the baseline digest is content-based
+    (deterministic), and ``restore_state`` snaps the clock back, erasing
+    the arming charges along with the boot charges.
+    """
+    for fuzzer in campaign.fuzzers:
+        if fuzzer.config.sanitize_every:
+            fuzzer._arm_sanitizer()
+    campaign.restore_state(state)
+
 
 def _entry_record(entry, spec) -> dict:
     from repro.spec.bytecode import SpecError, serialize
@@ -450,45 +476,37 @@ def _entry_record(entry, spec) -> dict:
             "blob": blob}
 
 
-def _tail_summary(records: List[Tuple[str, dict]], corpus_next_id: int,
-                  known_crashes) -> dict:
-    """What the journal recorded beyond the restored checkpoint.
-
-    Those finds are not folded into live state — deterministic
-    re-execution regenerates them identically — but the summary tells
-    the user what the kill window contained (and the ``corpus_add``
-    blobs keep the raw inputs salvageable either way).
-    """
-    adds = 0
-    crashes = 0
-    last_execs = None
-    for kind, body in records:
-        if kind == "corpus_add" and body.get("entry_id", -1) >= corpus_next_id:
-            adds += 1
-        elif kind == "crash" and body.get("key") not in known_crashes:
-            crashes += 1
-        elif kind == "watermark":
-            last_execs = body.get("execs", last_execs)
-    return {"corpus_adds": adds, "crashes": crashes,
-            "journal_execs": last_execs}
-
-
 class DurableCampaign:
-    """Journal + checkpoint wrapper around one :class:`NyxNetFuzzer`.
+    """Journal + checkpoint driver around one campaign.
+
+    ``campaign`` is a :class:`~repro.fuzz.fuzzer.NyxNetFuzzer` (kind
+    ``single``) or a :class:`~repro.fuzz.parallel.ParallelCampaign`
+    (kind ``parallel``); both speak the same protocol:
+    ``durable_kind``, ``fuzzers`` (whose corpus adds and crashes are
+    journaled), ``begin_campaign()``, ``run_campaign(controller)``
+    (polls this driver's :meth:`should_stop` before each step or slice
+    and calls :meth:`after_slice` after it), ``result()``,
+    ``merged_stats()``, ``total_execs()`` and the
+    ``snapshot_state``/``restore_state`` pair.
+
+    A single campaign journals everything to ``journal.wal``.  A fleet
+    gives each worker its own journal for corpus adds, crashes and
+    watermarks; the campaign journal records fleet events (quarantines,
+    retirements, sync rounds) and total-exec watermarks, and on resume
+    the per-worker journals merge into one recovery summary.
 
     Construction wires a *fresh* campaign for durability (writing the
     manifest); :func:`resume_campaign` builds one from an existing
     directory and restores its newest valid checkpoint.
     """
 
-    kind = "single"
-
-    def __init__(self, handles, directory, checkpoint_every: int = 500,
+    def __init__(self, campaign, directory, checkpoint_every: int = 500,
                  manifest: Optional[dict] = None,
                  journal_sync: bool = True,
                  verify_every: Optional[int] = None) -> None:
-        self.handles = handles
-        self.fuzzer = handles.fuzzer
+        self.campaign = campaign
+        self.kind = campaign.durable_kind
+        self.fleet = self.kind == "parallel"
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.checkpoint_every = max(1, int(checkpoint_every))
@@ -508,6 +526,12 @@ class DurableCampaign:
             write_manifest(self.directory, manifest)
         self.journal = Journal(self.directory / "journal.wal",
                                sync=journal_sync)
+        fuzzers = campaign.fuzzers
+        #: Where each fuzzer's corpus adds, crashes and watermarks go.
+        self.fuzzer_journals = [
+            Journal(self.directory / "workers" / ("w%02d" % i)
+                    / "journal.wal", sync=journal_sync)
+            for i in range(len(fuzzers))] if self.fleet else [self.journal]
         from repro.spec.nodes import default_network_spec
         self.spec = default_network_spec()
         #: Epoch the campaign resumed from (None: started fresh).
@@ -515,9 +539,13 @@ class DurableCampaign:
         #: Journal-tail summary of the kill window (resume only).
         self.recovered: dict = {}
         self.completed = False
+        self._stop: Optional[Callable[[], bool]] = None
         self._ckpt_execs = 0
-        self._corpus_mark = 0
-        self._crash_mark: set = set()
+        self._corpus_marks = [0] * len(fuzzers)
+        self._crash_marks: List[set] = [set() for _ in fuzzers]
+        self._quarantine_mark: Dict[int, int] = {}
+        self._retired_mark: set = set()
+        self._sync_mark = 0
 
     # -- resume ---------------------------------------------------------
 
@@ -529,94 +557,156 @@ class DurableCampaign:
             warnings.warn(message)
         if epoch is None:
             # Killed before the first checkpoint ever landed: restart
-            # from the manifest.  The (truncated) journal still reports
+            # from the manifest.  The (truncated) journals still report
             # what the lost window had found.
-            self.recovered = _tail_summary(self.journal.records, 0, set())
+            self.recovered = self._merge_tails()
             return
-        fuzzer = self.fuzzer
-        if fuzzer.config.sanitize_every:
-            # Re-arm before the clock restore: the baseline digest is
-            # content-based (deterministic), and restore_state erases
-            # the arming charges along with the boot charges.
-            fuzzer._arm_sanitizer()
-        fuzzer.restore_state(state["fuzzer"])
+        campaign = self.campaign
+        restore_campaign(campaign, state[CHECKPOINT_KEYS[self.kind]])
         self.resumed_from = epoch
         self.completed = state.get("phase") == "final"
-        self._ckpt_execs = fuzzer.stats.execs
-        self._corpus_mark = fuzzer.corpus.next_id
-        self._crash_mark = set(fuzzer.crashes.records)
-        self.recovered = _tail_summary(
-            self.journal.records, self._corpus_mark, self._crash_mark)
+        self._ckpt_execs = campaign.total_execs()
+        for i, fuzzer in enumerate(campaign.fuzzers):
+            self._corpus_marks[i] = fuzzer.corpus.next_id
+            self._crash_marks[i] = set(fuzzer.crashes.records)
+        if self.fleet:
+            self._quarantine_mark = dict(campaign._entry_failures)
+            self._retired_mark = {w.worker_id for w in campaign.workers
+                                  if w.retired}
+            self._sync_mark = len(campaign.coverage_series)
+        self.recovered = self._merge_tails()
+
+    def _merge_tails(self) -> dict:
+        """What the journals recorded beyond the restored checkpoint.
+
+        Those finds are not folded into live state — deterministic
+        re-execution regenerates them identically — but the summary
+        tells the user what the kill window contained (and the
+        ``corpus_add`` blobs keep the raw inputs salvageable either
+        way).
+        """
+        merged = {"corpus_adds": 0, "crashes": 0, "journal_execs": None}
+        for i, journal in enumerate(self.fuzzer_journals):
+            for kind, body in journal.records:
+                if (kind == "corpus_add"
+                        and body.get("entry_id", -1) >= self._corpus_marks[i]):
+                    merged["corpus_adds"] += 1
+                elif (kind == "crash"
+                        and body.get("key") not in self._crash_marks[i]):
+                    merged["crashes"] += 1
+        for kind, body in self.journal.records:
+            if kind == "watermark":
+                merged["journal_execs"] = body.get(
+                    "execs", merged["journal_execs"])
+        return merged
 
     # -- the durable loop -----------------------------------------------
 
     def run(self, stop: Optional[Callable[[], bool]] = None):
         """Run (or continue) the campaign; ``None`` on graceful stop.
 
-        ``stop`` is polled at every step boundary; returning True
-        drains into a checkpoint and a resumable exit.  On normal
-        completion the corpus/crashes are persisted alongside a
-        ``final.json`` carrying the campaign's ``stats_checksum``.
+        ``stop`` is polled at every step (fleet: slice) boundary;
+        returning True drains into a checkpoint and a resumable exit.
+        On normal completion the corpus/crashes are persisted alongside
+        a ``final.json`` carrying the campaign's ``stats_checksum``.
+        Returns the campaign's own result: its stats for a single
+        campaign, the :class:`~repro.fuzz.stats.AggregateStats` of a
+        fleet.
         """
+        campaign = self.campaign
         if self.completed:
             # Killed in the window between the final checkpoint and
             # final.json: re-finalize idempotently instead of stepping.
+            result = campaign.result()
             if not (self.directory / "final.json").exists():
-                self._finalize(self.fuzzer.stats)
-            return self.fuzzer.stats
-        fuzzer = self.fuzzer
-        fuzzer.begin_campaign()
+                self._finalize()
+            return result
+        self._stop = stop
+        campaign.begin_campaign()
         self._journal_progress()
-        while True:
-            if stop is not None and stop():
-                self._graceful_stop()
-                return None
-            if not fuzzer.step():
-                break
-            self._journal_progress()
-            if self._verify_due(fuzzer.stats.execs):
-                self._verify_now()
-            if fuzzer.stats.execs - self._ckpt_execs >= self.checkpoint_every:
-                self.save_checkpoint("periodic")
-        stats = fuzzer.finish_campaign()
-        self._finalize(stats)
-        return stats
+        result = campaign.run_campaign(controller=self)
+        if result is None:
+            self._graceful_stop()
+            return None
+        self._finalize()
+        return result
+
+    # controller protocol consumed by the campaign's run loop
+    def should_stop(self) -> bool:
+        return bool(self._stop()) if self._stop is not None else False
+
+    def after_slice(self, campaign, unit) -> None:
+        self._journal_progress()
+        if self._verify_due(campaign.total_execs()):
+            self._verify_now()
+        if campaign.total_execs() - self._ckpt_execs >= self.checkpoint_every:
+            self.save_checkpoint("periodic")
 
     def _journal_progress(self) -> None:
-        """Delta-scan the fuzzer after a step and journal what changed."""
-        fuzzer = self.fuzzer
-        corpus = fuzzer.corpus
-        if corpus.next_id > self._corpus_mark:
-            for entry in corpus.export_entries(self._corpus_mark):
-                self.journal.append("corpus_add",
-                                    _entry_record(entry, self.spec))
-            self._corpus_mark = corpus.next_id
-        for key, record in fuzzer.crashes.records.items():
-            if key not in self._crash_mark:
-                self._crash_mark.add(key)
-                self.journal.append("crash", {"key": key,
-                                              "found_at": record.found_at})
-        self.journal.append("watermark", {"execs": fuzzer.stats.execs,
-                                          "clock": fuzzer.clock.now})
+        """Delta-scan the campaign after a step and journal what
+        changed."""
+        campaign = self.campaign
+        for i, fuzzer in enumerate(campaign.fuzzers):
+            journal = self.fuzzer_journals[i]
+            corpus = fuzzer.corpus
+            if corpus.next_id > self._corpus_marks[i]:
+                for entry in corpus.export_entries(self._corpus_marks[i]):
+                    journal.append("corpus_add",
+                                   _entry_record(entry, self.spec))
+                self._corpus_marks[i] = corpus.next_id
+            for key, record in fuzzer.crashes.records.items():
+                if key not in self._crash_marks[i]:
+                    self._crash_marks[i].add(key)
+                    journal.append("crash", {"key": key,
+                                             "found_at": record.found_at})
+            journal.append("watermark", {"execs": fuzzer.stats.execs,
+                                         "clock": fuzzer.clock.now})
+        if not self.fleet:
+            return
+        for checksum, failures in campaign._entry_failures.items():
+            if self._quarantine_mark.get(checksum) != failures:
+                self._quarantine_mark[checksum] = failures
+                self.journal.append("quarantine", {"checksum": checksum,
+                                                   "failures": failures})
+        for worker in campaign.workers:
+            if worker.retired and worker.worker_id not in self._retired_mark:
+                self._retired_mark.add(worker.worker_id)
+                self.journal.append("retire", {"worker": worker.worker_id})
+        if len(campaign.coverage_series) > self._sync_mark:
+            self._sync_mark = len(campaign.coverage_series)
+            self.journal.append("sync", {
+                "rounds": self._sync_mark,
+                "edges": campaign.global_coverage.edge_count()})
+        self.journal.append("watermark",
+                            {"execs": campaign.total_execs()})
+
+    def _stamp(self, **body) -> dict:
+        """A campaign-journal record body; a single campaign's also
+        carries its sim clock (a fleet has one clock per worker)."""
+        if not self.fleet:
+            body["clock"] = self.campaign.clock.now
+        return body
 
     def save_checkpoint(self, reason: str = "periodic") -> int:
         """Checkpoint the full resumable state; returns the epoch."""
+        campaign = self.campaign
         phase = "final" if reason == "final" else "running"
-        state = {"phase": phase, "fuzzer": self.fuzzer.snapshot_state()}
+        state = {"phase": phase,
+                 CHECKPOINT_KEYS[self.kind]: campaign.snapshot_state()}
         pruned_before = self.checkpoints.pruned_total
         epoch = self.checkpoints.save(state)
-        stats = self.fuzzer.stats
+        # Host counters live on the first fuzzer's stats; a fleet's
+        # merge() sums them into the aggregate like every other one.
+        stats = campaign.fuzzers[0].stats
         stats.checkpoints_written += 1
         stats.checkpoint_epochs_pruned += (
             self.checkpoints.pruned_total - pruned_before)
-        self._ckpt_execs = stats.execs
+        self._ckpt_execs = campaign.total_execs()
         if (self.verify_every is not None and self._verify_pending is None
                 and reason == "periodic"):
-            self._verify_pending = (epoch, stats.execs)
-        self.journal.append("checkpoint", {
-            "epoch": epoch, "reason": reason,
-            "execs": stats.execs,
-            "clock": self.fuzzer.clock.now})
+            self._verify_pending = (epoch, self._ckpt_execs)
+        self.journal.append("checkpoint", self._stamp(
+            epoch=epoch, reason=reason, execs=self._ckpt_execs))
         return epoch
 
     # -- cross-process checkpoint verification ---------------------------
@@ -635,301 +725,84 @@ class DurableCampaign:
         its findings into ``verify_findings`` plus the host counters.
         """
         from repro.analysis.statediff import state_digest, verify_checkpoint
-        from repro.perf.macro import stats_checksum
+        from repro.fuzz.stats import stats_checksum
         epoch, _ckpt_execs = self._verify_pending
         self._verify_pending = None
         if epoch not in self.checkpoints.epochs():
             return  # pruned before the replay window elapsed
-        stats = self.fuzzer.stats
-        expected_digest, _trunc = state_digest(self.fuzzer.snapshot_state())
+        campaign = self.campaign
+        execs = campaign.total_execs()
+        expected_digest, _trunc = state_digest(campaign.snapshot_state())
         findings = verify_checkpoint(
-            self.directory, epoch, stats.execs,
-            stats_checksum(stats), expected_digest, kind=self.kind)
+            self.directory, epoch, execs,
+            stats_checksum(campaign.merged_stats()), expected_digest,
+            kind=self.kind)
+        stats = campaign.fuzzers[0].stats
         stats.checkpoint_verifications += 1
         stats.checkpoint_divergences += len(findings)
         self.verify_findings.extend(findings)
         self.journal.append("verify", {
-            "epoch": epoch, "execs": stats.execs,
-            "findings": len(findings)})
+            "epoch": epoch, "execs": execs, "findings": len(findings)})
 
     def _graceful_stop(self) -> None:
         self.save_checkpoint("graceful-stop")
-        self.journal.append("graceful_stop", {
-            "execs": self.fuzzer.stats.execs,
-            "clock": self.fuzzer.clock.now})
-        self.journal.close()
+        self.journal.append("graceful_stop", self._stamp(
+            execs=self.campaign.total_execs()))
+        self.close()
 
-    def _finalize(self, stats) -> None:
-        from repro.fuzz.persist import save_campaign
-        from repro.perf.macro import stats_checksum
+    def _finalize(self) -> None:
+        from repro.fuzz.persist import save_campaign, save_parallel_campaign
+        from repro.fuzz.stats import stats_checksum
+        campaign = self.campaign
+        stats = campaign.merged_stats()
         self.save_checkpoint("final")
-        save_campaign(self.fuzzer, str(self.directory))
+        save = save_parallel_campaign if self.fleet else save_campaign
+        save(campaign, str(self.directory))
         checksum = stats_checksum(stats)
-        _atomic_write_text(self.directory / "final.json", json.dumps({
+        final = {
             "kind": self.kind,
             "stats_checksum": checksum,
             "execs": stats.execs,
             "edges": stats.final_edges,
             "sim_seconds": stats.end_time,
-            "crashes": sorted(self.fuzzer.crashes.records),
-        }, indent=2, sort_keys=True))
+            "crashes": sorted({key for fuzzer in campaign.fuzzers
+                               for key in fuzzer.crashes.records}),
+        }
+        if self.fleet:
+            final["workers"] = len(campaign.fuzzers)
+        _atomic_write_text(self.directory / "final.json",
+                           json.dumps(final, indent=2, sort_keys=True))
         self.journal.append("complete", {"execs": stats.execs,
                                          "stats_checksum": checksum})
-        self.journal.close()
-        self.completed = True
-
-    def close(self) -> None:
-        """Release file handles without checkpointing (abandon)."""
-        self.journal.close()
-
-
-# ----------------------------------------------------------------------
-# durable parallel campaigns
-# ----------------------------------------------------------------------
-
-class DurableParallelCampaign:
-    """Durability wrapper around a :class:`ParallelCampaign`.
-
-    One campaign-level journal records fleet events (quarantines,
-    retirements, sync rounds, total-exec watermarks, checkpoints); each
-    worker gets its own journal for corpus adds and crashes.  On resume
-    the per-worker journals are merged into one recovery summary, and
-    quarantine tallies plus per-worker backoff counters come back from
-    the checkpoint, so supervision state persists fleet-wide.
-    """
-
-    kind = "parallel"
-
-    def __init__(self, campaign, directory, checkpoint_every: int = 1000,
-                 manifest: Optional[dict] = None,
-                 journal_sync: bool = True,
-                 verify_every: Optional[int] = None) -> None:
-        self.campaign = campaign
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.checkpoint_every = max(1, int(checkpoint_every))
-        self.verify_every = (max(1, int(verify_every))
-                             if verify_every else None)
-        self.verify_findings: List = []
-        self._verify_pending: Optional[Tuple[int, int]] = None
-        self.checkpoints = CheckpointStore(self.directory / "checkpoints")
-        if manifest is not None and not (
-                self.directory / "manifest.json").exists():
-            write_manifest(self.directory, manifest)
-        self.journal = Journal(self.directory / "journal.wal",
-                               sync=journal_sync)
-        self.worker_journals = [
-            Journal(self.directory / "workers" / ("w%02d" % w.worker_id)
-                    / "journal.wal", sync=journal_sync)
-            for w in campaign.workers]
-        self.spec = campaign.spec
-        self.resumed_from: Optional[int] = None
-        self.recovered: dict = {}
-        self.completed = False
-        self._stop: Optional[Callable[[], bool]] = None
-        self._ckpt_execs = 0
-        self._corpus_marks = [0] * len(campaign.workers)
-        self._crash_marks: List[set] = [set() for _ in campaign.workers]
-        self._quarantine_mark: Dict[int, int] = {}
-        self._retired_mark: set = set()
-        self._sync_mark = 0
-
-    # -- resume ---------------------------------------------------------
-
-    def _restore(self) -> None:
-        epoch, state, warns = self.checkpoints.load_latest()
-        for message in warns:
-            warnings.warn(message)
-        if epoch is None:
-            self.recovered = self._merge_tails()
-            return
-        self.campaign.restore_state(state["campaign"])
-        self.resumed_from = epoch
-        self.completed = state.get("phase") == "final"
-        self._ckpt_execs = self.campaign.total_execs()
-        for i, worker in enumerate(self.campaign.workers):
-            self._corpus_marks[i] = worker.fuzzer.corpus.next_id
-            self._crash_marks[i] = set(worker.fuzzer.crashes.records)
-        self._quarantine_mark = dict(self.campaign._entry_failures)
-        self._retired_mark = {w.worker_id for w in self.campaign.workers
-                              if w.retired}
-        self._sync_mark = len(self.campaign.coverage_series)
-        self.recovered = self._merge_tails()
-
-    def _merge_tails(self) -> dict:
-        """Merge every worker journal's tail into one recovery view."""
-        merged = {"corpus_adds": 0, "crashes": 0, "journal_execs": None}
-        for i, journal in enumerate(self.worker_journals):
-            tail = _tail_summary(journal.records, self._corpus_marks[i],
-                                 self._crash_marks[i])
-            merged["corpus_adds"] += tail["corpus_adds"]
-            merged["crashes"] += tail["crashes"]
-        for kind, body in self.journal.records:
-            if kind == "watermark":
-                merged["journal_execs"] = body.get(
-                    "execs", merged["journal_execs"])
-        return merged
-
-    # -- the durable loop -----------------------------------------------
-
-    def run(self, stop: Optional[Callable[[], bool]] = None):
-        """Run (or continue) the fleet; ``None`` on graceful stop."""
-        if self.completed:
-            aggregate = self.campaign.aggregate()
-            if not (self.directory / "final.json").exists():
-                self._finalize(aggregate)
-            return aggregate
-        self._stop = stop
-        self.campaign.start()
-        self._journal_progress()
-        result = self.campaign.run(controller=self)
-        if result is None:
-            self._graceful_stop()
-            return None
-        self._finalize(result)
-        return result
-
-    # controller protocol consumed by ParallelCampaign.run
-    def should_stop(self) -> bool:
-        return bool(self._stop()) if self._stop is not None else False
-
-    def after_slice(self, campaign, worker) -> None:
-        self._journal_progress()
-        if self._verify_due(campaign.total_execs()):
-            self._verify_now()
-        if campaign.total_execs() - self._ckpt_execs >= self.checkpoint_every:
-            self.save_checkpoint("periodic")
-
-    def _journal_progress(self) -> None:
-        campaign = self.campaign
-        for i, worker in enumerate(campaign.workers):
-            journal = self.worker_journals[i]
-            corpus = worker.fuzzer.corpus
-            if corpus.next_id > self._corpus_marks[i]:
-                for entry in corpus.export_entries(self._corpus_marks[i]):
-                    journal.append("corpus_add",
-                                   _entry_record(entry, self.spec))
-                self._corpus_marks[i] = corpus.next_id
-            for key, record in worker.fuzzer.crashes.records.items():
-                if key not in self._crash_marks[i]:
-                    self._crash_marks[i].add(key)
-                    journal.append("crash", {"key": key,
-                                             "found_at": record.found_at})
-            journal.append("watermark", {"execs": worker.fuzzer.stats.execs,
-                                         "clock": worker.fuzzer.clock.now})
-        for checksum, failures in campaign._entry_failures.items():
-            if self._quarantine_mark.get(checksum) != failures:
-                self._quarantine_mark[checksum] = failures
-                self.journal.append("quarantine", {"checksum": checksum,
-                                                   "failures": failures})
-        for worker in campaign.workers:
-            if worker.retired and worker.worker_id not in self._retired_mark:
-                self._retired_mark.add(worker.worker_id)
-                self.journal.append("retire", {"worker": worker.worker_id})
-        if len(campaign.coverage_series) > self._sync_mark:
-            self._sync_mark = len(campaign.coverage_series)
-            self.journal.append("sync", {
-                "rounds": self._sync_mark,
-                "edges": campaign.global_coverage.edge_count()})
-        self.journal.append("watermark",
-                            {"execs": campaign.total_execs()})
-
-    def save_checkpoint(self, reason: str = "periodic") -> int:
-        phase = "final" if reason == "final" else "running"
-        state = {"phase": phase, "campaign": self.campaign.snapshot_state()}
-        pruned_before = self.checkpoints.pruned_total
-        epoch = self.checkpoints.save(state)
-        # Fleet-level host counters live on worker 0's stats; merge()
-        # sums them into the aggregate like every other host counter.
-        stats = self.campaign.workers[0].fuzzer.stats
-        stats.checkpoints_written += 1
-        stats.checkpoint_epochs_pruned += (
-            self.checkpoints.pruned_total - pruned_before)
-        self._ckpt_execs = self.campaign.total_execs()
-        if (self.verify_every is not None and self._verify_pending is None
-                and reason == "periodic"):
-            self._verify_pending = (epoch, self._ckpt_execs)
-        self.journal.append("checkpoint", {
-            "epoch": epoch, "reason": reason,
-            "execs": self.campaign.total_execs()})
-        return epoch
-
-    # -- cross-process checkpoint verification ---------------------------
-
-    def _verify_due(self, execs: int) -> bool:
-        return (self._verify_pending is not None
-                and self.verify_every is not None
-                and execs >= self._verify_pending[1] + self.verify_every)
-
-    def _verify_now(self) -> None:
-        from repro.analysis.statediff import state_digest, verify_checkpoint
-        from repro.perf.macro import stats_checksum
-        epoch, _ckpt_execs = self._verify_pending
-        self._verify_pending = None
-        if epoch not in self.checkpoints.epochs():
-            return  # pruned before the replay window elapsed
-        campaign = self.campaign
-        expected_digest, _trunc = state_digest(campaign.snapshot_state())
-        expected_checksum = stats_checksum(campaign.aggregate().merged)
-        findings = verify_checkpoint(
-            self.directory, epoch, campaign.total_execs(),
-            expected_checksum, expected_digest, kind=self.kind)
-        stats = campaign.workers[0].fuzzer.stats
-        stats.checkpoint_verifications += 1
-        stats.checkpoint_divergences += len(findings)
-        self.verify_findings.extend(findings)
-        self.journal.append("verify", {
-            "epoch": epoch, "execs": campaign.total_execs(),
-            "findings": len(findings)})
-
-    def _graceful_stop(self) -> None:
-        self.save_checkpoint("graceful-stop")
-        self.journal.append("graceful_stop",
-                            {"execs": self.campaign.total_execs()})
-        self.close()
-
-    def _finalize(self, aggregate) -> None:
-        from repro.fuzz.persist import save_parallel_campaign
-        from repro.perf.macro import stats_checksum
-        self.save_checkpoint("final")
-        save_parallel_campaign(self.campaign, str(self.directory))
-        checksum = stats_checksum(aggregate.merged)
-        crash_keys = sorted({key for w in self.campaign.workers
-                             for key in w.fuzzer.crashes.records})
-        _atomic_write_text(self.directory / "final.json", json.dumps({
-            "kind": self.kind,
-            "stats_checksum": checksum,
-            "execs": aggregate.merged.execs,
-            "edges": aggregate.merged.final_edges,
-            "sim_seconds": aggregate.merged.end_time,
-            "crashes": crash_keys,
-            "workers": len(self.campaign.workers),
-        }, indent=2, sort_keys=True))
-        self.journal.append("complete", {
-            "execs": aggregate.merged.execs, "stats_checksum": checksum})
         self.close()
         self.completed = True
 
     def close(self) -> None:
-        """Release every journal handle without checkpointing."""
+        """Release every journal handle without checkpointing (abandon)."""
         self.journal.close()
-        for journal in self.worker_journals:
+        for journal in self.fuzzer_journals:
             journal.close()
+
+
+#: The fleet driver is the same class: a ParallelCampaign brings its
+#: own kind, journals and fleet events through the campaign protocol.
+DurableParallelCampaign = DurableCampaign
 
 
 # ----------------------------------------------------------------------
 # resume entry point
 # ----------------------------------------------------------------------
 
-def resume_campaign(directory, journal_sync: bool = True):
+def resume_campaign(directory, journal_sync: bool = True) -> DurableCampaign:
     """Rebuild a durable campaign from its directory and restore it.
 
     Validates the manifest (format version, known target, spec digest),
     reconstructs the campaign deterministically through
-    :mod:`repro.fuzz.campaign`, loads the newest valid checkpoint and
-    truncates any torn journal tail.  Returns a :class:`DurableCampaign`
-    or :class:`DurableParallelCampaign` ready to ``run()``.
+    :func:`repro.fuzz.campaign.campaign_from_manifest`, loads the
+    newest valid checkpoint and truncates any torn journal tail.
+    Returns a :class:`DurableCampaign` ready to ``run()``.
     """
+    from repro.fuzz.campaign import campaign_from_manifest
     from repro.targets import PROFILES
     manifest = read_manifest(directory)
     target = manifest.get("target")
@@ -939,20 +812,11 @@ def resume_campaign(directory, journal_sync: bool = True):
             "campaign manifest names unknown target %r (see `repro "
             "targets`)" % target)
     _check_spec(manifest)
-    checkpoint_every = int(manifest.get("checkpoint_every", 500))
-    verify_every = manifest.get("verify_checkpoints")
-    if manifest.get("kind") == "parallel":
-        from repro.fuzz.campaign import build_parallel_campaign_from_manifest
-        campaign = build_parallel_campaign_from_manifest(profile, manifest)
-        durable = DurableParallelCampaign(
-            campaign, directory, checkpoint_every=checkpoint_every,
-            journal_sync=journal_sync, verify_every=verify_every)
-    else:
-        from repro.fuzz.campaign import build_campaign_from_manifest
-        handles = build_campaign_from_manifest(profile, manifest)
-        durable = DurableCampaign(
-            handles, directory, checkpoint_every=checkpoint_every,
-            journal_sync=journal_sync, verify_every=verify_every)
+    durable = DurableCampaign(
+        campaign_from_manifest(profile, manifest), directory,
+        checkpoint_every=int(manifest.get("checkpoint_every", 500)),
+        journal_sync=journal_sync,
+        verify_every=manifest.get("verify_checkpoints"))
     durable._restore()
     return durable
 

@@ -457,6 +457,23 @@ class ParallelCampaign:
             coverage_series=self.coverage_series)
         return AggregateStats(merged=merged, workers=parts)
 
+    # ------------------------------------------------------------------
+    # the durable-campaign protocol (repro.fuzz.journal.DurableCampaign),
+    # under NyxNetFuzzer's names
+    # ------------------------------------------------------------------
+
+    durable_kind = "parallel"
+    begin_campaign = start
+    run_campaign = run
+    result = aggregate
+
+    @property
+    def fuzzers(self) -> List[NyxNetFuzzer]:
+        return [w.fuzzer for w in self.workers]
+
+    def merged_stats(self) -> CampaignStats:
+        return self.aggregate().merged
+
     def unique_page_footprint(self) -> Dict[str, float]:
         """Fleet memory accounting for the §6 scalability claim.
 

@@ -199,7 +199,7 @@ def run_profile(target: str = "lighttpd", seed: int = 1,
     wrappers did not perturb the campaign.
     """
     from repro.fuzz.campaign import build_campaign
-    from repro.perf.macro import stats_checksum
+    from repro.fuzz.stats import stats_checksum
     from repro.targets import PROFILES
     profile = PROFILES[target]
 

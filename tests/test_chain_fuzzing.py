@@ -122,7 +122,7 @@ def _campaign_stats(policy="aggressive", seed=3, execs=150,
 class TestChainCampaigns:
     def test_depth_one_is_byte_identical_to_default(self):
         """--max-chain-depth 1 must not perturb the sim trajectory."""
-        from repro.perf.macro import stats_checksum
+        from repro.fuzz.stats import stats_checksum
         plain, _h = _campaign_stats()
         clamped, _h = _campaign_stats(max_chain_depth=1)
         assert stats_checksum(plain) == stats_checksum(clamped)

@@ -22,9 +22,8 @@ from repro.emu.surface import AttackSurface
 from repro.fuzz.campaign import build_campaign, build_parallel_campaign
 from repro.fuzz.executor import NyxExecutor
 from repro.fuzz.input import FuzzInput, packets_input
-from repro.fuzz.stats import CampaignStats
+from repro.fuzz.stats import CampaignStats, stats_checksum
 from repro.guestos.kernel import Kernel
-from repro.perf.macro import stats_checksum
 from repro.spec.bytecode import Op
 from repro.targets.lightftp import PROFILE as LIGHTFTP
 from repro.vm.machine import Machine

@@ -26,7 +26,7 @@ from repro.fuzz.journal import (CheckpointStore, DurabilityError,
                                 GracefulShutdown, Journal, campaign_manifest,
                                 read_manifest, resume_campaign,
                                 salvage_corpus_blobs, write_manifest)
-from repro.perf.macro import stats_checksum
+from repro.fuzz.stats import stats_checksum
 from repro.spec.bytecode import SpecError, serialize
 from repro.spec.nodes import default_network_spec
 from repro.targets import PROFILES
@@ -70,7 +70,8 @@ def _golden(manifest):
 def _run_killed(manifest, directory, kill_after_polls):
     """Run a durable campaign and 'kill' it at the Nth step boundary."""
     durable = DurableCampaign(
-        build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+        build_campaign_from_manifest(PROFILES["lighttpd"],
+                                     manifest).fuzzer,
         directory, checkpoint_every=manifest["checkpoint_every"],
         manifest=manifest, journal_sync=False)
     calls = [0]
@@ -91,8 +92,8 @@ def _resume_and_finish(directory):
     durable = resume_campaign(directory, journal_sync=False)
     stats = durable.run()
     return durable, (stats_checksum(stats),
-                     _corpus_blobs(durable.fuzzer.corpus),
-                     _crash_digest(durable.fuzzer.crashes))
+                     _corpus_blobs(durable.campaign.corpus),
+                     _crash_digest(durable.campaign.crashes))
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +334,8 @@ class TestKillResumeDeterminism:
     def test_resume_of_completed_campaign_is_idempotent(self, tmp_path):
         manifest = _manifest(seed=3)
         durable = DurableCampaign(
-            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+            build_campaign_from_manifest(PROFILES["lighttpd"],
+                                         manifest).fuzzer,
             tmp_path, checkpoint_every=100, manifest=manifest,
             journal_sync=False)
         stats = durable.run()
@@ -357,7 +359,8 @@ class TestKillResumeDeterminism:
         manifest = _manifest(seed=11)
         golden = _golden(manifest)
         durable = DurableCampaign(
-            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+            build_campaign_from_manifest(PROFILES["lighttpd"],
+                                         manifest).fuzzer,
             tmp_path, checkpoint_every=100, manifest=manifest,
             journal_sync=False)
         calls = [0]
@@ -435,6 +438,111 @@ class TestParallelKillResume:
 
 
 # ----------------------------------------------------------------------
+# the on-disk layout
+# ----------------------------------------------------------------------
+
+#: Body keys of every frame kind.  Watermark, checkpoint and
+#: graceful_stop bodies carry a sim clock wherever one fuzzer's clock
+#: applies: a single campaign's journal and each fleet worker's.
+_FRAME_BODY_KEYS = {
+    "corpus_add": {"entry_id", "found_at", "blob"},
+    "crash": {"key", "found_at"},
+    "complete": {"execs", "stats_checksum"},
+    "verify": {"epoch", "execs", "findings"},
+    "quarantine": {"checksum", "failures"},
+    "retire": {"worker"},
+    "sync": {"rounds", "edges"},
+}
+_CLOCKED = {"watermark": {"execs", "clock"},
+            "checkpoint": {"epoch", "reason", "execs", "clock"},
+            "graceful_stop": {"execs", "clock"}}
+_UNCLOCKED = {kind: keys - {"clock"} for kind, keys in _CLOCKED.items()}
+
+_LAYOUT = {
+    "single": {
+        "journals": {"journal.wal": (
+            {"corpus_add", "watermark", "checkpoint", "verify",
+             "graceful_stop", "complete"},
+            {"crash"},
+            dict(_FRAME_BODY_KEYS, **_CLOCKED))},
+        "state_key": "fuzzer",
+        "final": {"kind", "stats_checksum", "execs", "edges",
+                  "sim_seconds", "crashes"},
+    },
+    "parallel": {
+        "journals": dict({"journal.wal": (
+            {"watermark", "checkpoint", "verify", "graceful_stop",
+             "complete", "quarantine", "retire", "sync"},
+            set(),
+            dict(_FRAME_BODY_KEYS, **_UNCLOCKED))}, **{
+            "workers/w%02d/journal.wal" % w: (
+                {"corpus_add", "watermark"}, {"crash"},
+                dict(_FRAME_BODY_KEYS, **_CLOCKED))
+            for w in range(2)}),
+        "state_key": "campaign",
+        "final": {"kind", "stats_checksum", "execs", "edges",
+                  "sim_seconds", "crashes", "workers"},
+    },
+}
+
+
+class TestDurableLayout:
+    """Pin the durable directory's structure: journal files, frame
+    kinds and body keys per file, checkpoint state keys and the
+    ``final.json`` fields.  Structure only — frame counts follow
+    coverage site ids, which follow the checkout path."""
+
+    def _manifest(self, kind):
+        if kind == "single":
+            return _manifest(seed=3, max_execs=300,
+                             verify_checkpoints=100)
+        return campaign_manifest(
+            "parallel", "lighttpd", policy="balanced", seed=5,
+            time_budget=10.0, max_execs=700, checkpoint_every=100,
+            workers=2, verify_checkpoints=100)
+
+    @pytest.mark.parametrize("kind", ["single", "parallel"])
+    def test_layout(self, tmp_path, kind):
+        write_manifest(tmp_path, self._manifest(kind))
+        # A graceful stop, then a resume that runs to completion, so
+        # every lifecycle frame kind lands on disk.
+        first = resume_campaign(tmp_path, journal_sync=False)
+        if kind == "parallel":
+            # Plant fleet supervision state so the quarantine and
+            # retire events are journaled too.
+            fleet = first.campaign
+            fleet.start()
+            fleet._entry_failures = {12345: 1}
+            fleet.workers[1].retired = fleet.workers[1].done = True
+        calls = [0]
+
+        def drain():
+            calls[0] += 1
+            return calls[0] > 3
+
+        assert first.run(stop=drain) is None
+        assert resume_campaign(tmp_path, journal_sync=False).run()
+        layout = _LAYOUT[kind]
+        found = {str(p.relative_to(tmp_path))
+                 for p in tmp_path.rglob("*.wal")}
+        assert found == set(layout["journals"])
+        for name, (required, optional, body_keys) in \
+                layout["journals"].items():
+            records = Journal(tmp_path / name, sync=False).records
+            kinds = {k for k, _body in records}
+            assert required <= kinds <= required | optional, name
+            for frame_kind, body in records:
+                assert set(body) == body_keys[frame_kind], (name,
+                                                            frame_kind)
+        store = CheckpointStore(tmp_path / "checkpoints")
+        for epoch in store.epochs():
+            assert set(store.load(epoch)) == {"phase", layout["state_key"]}
+        final = json.loads((tmp_path / "final.json").read_text())
+        assert set(final) == layout["final"]
+        assert final["kind"] == kind
+
+
+# ----------------------------------------------------------------------
 # robustness state survives kill/resume
 # ----------------------------------------------------------------------
 
@@ -482,10 +590,11 @@ class TestRobustnessStateResume:
         manifest = _manifest(seed=7, fault_rate=0.0, exec_timeout=None,
                              max_execs=200)
         durable = DurableCampaign(
-            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+            build_campaign_from_manifest(PROFILES["lighttpd"],
+                                         manifest).fuzzer,
             tmp_path, checkpoint_every=100, manifest=manifest,
             journal_sync=False)
-        fuzzer = durable.fuzzer
+        fuzzer = durable.campaign
         fuzzer.begin_campaign()
         fuzzer.step()
         victim_checksums = [e.checksum for e in fuzzer.corpus.entries
@@ -496,7 +605,7 @@ class TestRobustnessStateResume:
         durable.save_checkpoint("test")
         durable.close()
         resumed = resume_campaign(tmp_path, journal_sync=False)
-        corpus = resumed.fuzzer.corpus
+        corpus = resumed.campaign.corpus
         assert victim_checksums[0] not in {e.checksum
                                            for e in corpus.entries}
         assert victim_checksums[0] in corpus._seen_checksums
@@ -589,6 +698,26 @@ class TestDurableCli:
               "--checkpoint-every", "50", "--out", out])
         capsys.readouterr()
         assert main(["fuzz", "--resume", out]) == 0
+
+    def test_parallel_durable_reports_ignored_flags(self, capsys, tmp_path):
+        # A fleet runs every worker at chain depth 1 with no sanitizer:
+        # say so, and record what runs rather than what was asked for,
+        # so a resume's conflict check compares against the truth.
+        out = tmp_path / "c"
+        assert main(["fuzz", "lighttpd", "--workers", "2",
+                     "--checkpoint-every", "100", "--max-chain-depth", "4",
+                     "--sanitize-resets", "50", "--execs", "200",
+                     "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "--max-chain-depth is ignored with --workers > 1" in stdout
+        assert "--sanitize-resets is ignored with --workers > 1" in stdout
+        manifest = read_manifest(out)
+        assert manifest["max_chain_depth"] == 1
+        assert manifest["sanitize_every"] is None
+        assert manifest["fault_plan"] is None
+        assert main(["fuzz", "--resume", str(out),
+                     "--max-chain-depth", "4"]) == 2
+        assert "--max-chain-depth" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

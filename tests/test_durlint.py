@@ -30,9 +30,9 @@ from repro.cli import main as cli_main
 from repro.fuzz.campaign import (build_campaign_from_manifest,
                                  build_parallel_campaign_from_manifest)
 from repro.fuzz.journal import (CheckpointStore, DurableCampaign,
-                                FRAME_KINDS, Journal, campaign_manifest)
-from repro.fuzz.stats import CampaignStats
-from repro.perf.macro import stats_checksum
+                                FRAME_KINDS, Journal, campaign_manifest,
+                                resume_campaign, write_manifest)
+from repro.fuzz.stats import CampaignStats, stats_checksum
 from repro.targets import PROFILES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -415,7 +415,8 @@ class TestStatediff:
         directory = tmp_path_factory.mktemp("vcamp")
         manifest = _manifest(3)
         durable = DurableCampaign(
-            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+            build_campaign_from_manifest(PROFILES["lighttpd"],
+                                         manifest).fuzzer,
             directory, checkpoint_every=100, manifest=manifest,
             journal_sync=False)
         stats = durable.run()
@@ -448,13 +449,18 @@ class TestStatediff:
         assert any(d.code == "NYX060" and "Tracker.lost" in d.message
                    for d in diags)
 
-    def test_verification_runs_inside_a_durable_campaign(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["single", "parallel"])
+    def test_verification_runs_inside_a_durable_campaign(self, tmp_path,
+                                                         kind):
         manifest = _manifest(4, verify_checkpoints=100)
-        durable = DurableCampaign(
-            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
-            tmp_path, checkpoint_every=100, manifest=manifest,
-            journal_sync=False, verify_every=100)
-        stats = durable.run()
+        if kind == "parallel":
+            manifest.update(kind="parallel", workers=2, max_execs=400)
+        # A fresh directory with a manifest resumes as a new campaign
+        # whose verification cadence comes from the manifest.
+        write_manifest(tmp_path, manifest)
+        durable = resume_campaign(tmp_path, journal_sync=False)
+        result = durable.run()
+        stats = result.merged if kind == "parallel" else result
         assert stats.checkpoint_verifications >= 1
         assert stats.checkpoint_divergences == 0
         assert durable.verify_findings == []
@@ -485,7 +491,8 @@ class TestCheckpointStoreDurability:
     def test_pruned_epochs_surface_in_stats(self, tmp_path):
         manifest = _manifest(5, max_execs=400, checkpoint_every=50)
         durable = DurableCampaign(
-            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+            build_campaign_from_manifest(PROFILES["lighttpd"],
+                                         manifest).fuzzer,
             tmp_path, checkpoint_every=50, manifest=manifest,
             journal_sync=False)
         stats = durable.run()

@@ -13,7 +13,7 @@ import pytest
 
 from repro.fuzz.campaign import build_campaign
 from repro.fuzz.input import FuzzInput
-from repro.perf.macro import stats_checksum
+from repro.fuzz.stats import stats_checksum
 from repro.targets import PROFILES
 
 EXECS = 400

@@ -22,11 +22,11 @@ import repro.fuzz.campaign as campaign_module
 from repro.coverage.bitmap import MAP_SIZE
 from repro.coverage.tracer import SYSCALL_WINDOW, EdgeTracer, TracerCore
 from repro.fuzz.campaign import build_campaign
+from repro.fuzz.stats import stats_checksum
 from repro.guestos.errors import CrashKind, Errno, GuestCrash, GuestError
 from repro.guestos.kernel import Kernel, KernelApi
 from repro.guestos.process import Program
 from repro.guestos.sockets import SockDomain, SockType
-from repro.perf.macro import stats_checksum
 from repro.targets import PROFILES
 
 from tests.helpers import PlainApiTracer, boot_echo, make_machine
