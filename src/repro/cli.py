@@ -4,6 +4,12 @@ Commands:
 
 * ``targets`` — list the available fuzz targets.
 * ``fuzz <target>`` — run a Nyx-Net campaign against one target.
+  Every run takes one path: the flags become one manifest, the
+  manifest builds the campaign (one fuzzer, or a ``--workers N``
+  fleet over one shared root), the campaign protocol runs it, plainly
+  or journaled and checkpointed (``--checkpoint-every``, resumable
+  with ``--resume``), one report prints it and one ``save_campaign``
+  persists it (``--out``).
 * ``mario <level>`` — run the Table 4 time-to-solve comparison on one
   Super Mario level.
 * ``bench`` — hot-path performance benchmarks on both clocks, with a
@@ -43,7 +49,13 @@ def _cmd_targets(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz.campaign import build_campaign
+    """``fuzz``: one manifest, one campaign, one report, one saver —
+    plain or durable, one fuzzer or a fleet (see the module docstring;
+    a plain run's manifest has ``checkpoint_every=None``)."""
+    from repro.coverage.backends import BackendUnavailable
+    from repro.faults import PlanError
+    from repro.fuzz.campaign import campaign_from_manifest
+    from repro.fuzz.journal import DurableCampaign, campaign_manifest
     from repro.fuzz.persist import save_campaign
     from repro.targets import PROFILES
     if getattr(args, "placement", None) == "bandit":
@@ -62,114 +74,77 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print("unknown target %r (see `repro targets`)" % args.target,
               file=sys.stderr)
         return 2
-    if (args.verify_checkpoints is not None
-            and args.checkpoint_every is None):
+    durable = args.checkpoint_every is not None
+    if args.verify_checkpoints is not None and not durable:
         print("--verify-checkpoints needs --checkpoint-every N (there is "
               "nothing to verify without periodic checkpoints)",
               file=sys.stderr)
         return 2
-    if args.checkpoint_every is not None:
-        return _fuzz_durable(args, profile)
-    if args.workers > 1:
-        return _fuzz_parallel(args, profile)
-    from repro.coverage.backends import BackendUnavailable
-    from repro.faults import PlanError
+    if durable and not args.out:
+        print("--checkpoint-every needs --out DIR (the durable campaign "
+              "directory the journal, checkpoints and manifest live in)",
+              file=sys.stderr)
+        return 2
+    if durable and args.distill:
+        print("(--distill is ignored with --checkpoint-every)")
+    fleet = args.workers > 1
+    if fleet:
+        _ignored_with_workers(args)
+    manifest = campaign_manifest(
+        "parallel" if fleet else "single", args.target, policy=args.policy,
+        seed=args.seed, time_budget=args.time, max_execs=args.execs,
+        checkpoint_every=args.checkpoint_every,
+        asan=not args.no_asan, fault_rate=args.fault_rate,
+        fault_plan=args.fault_plan, exec_timeout=args.exec_timeout,
+        sanitize_every=args.sanitize_resets,
+        coverage_backend=args.coverage_backend,
+        workers=args.workers, sync_interval=args.sync_interval,
+        verify_checkpoints=args.verify_checkpoints,
+        max_chain_depth=args.max_chain_depth)
     try:
-        handles = build_campaign(profile, policy=args.policy, seed=args.seed,
-                                 time_budget=args.time, max_execs=args.execs,
-                                 asan=not args.no_asan,
-                                 fault_rate=args.fault_rate,
-                                 fault_plan=args.fault_plan,
-                                 exec_timeout=args.exec_timeout,
-                                 sanitize_every=args.sanitize_resets,
-                                 coverage_backend=args.coverage_backend,
-                                 max_chain_depth=args.max_chain_depth)
+        campaign = campaign_from_manifest(profile, manifest)
+        if durable:
+            driver = DurableCampaign(
+                campaign, args.out, checkpoint_every=args.checkpoint_every,
+                manifest=manifest, verify_every=args.verify_checkpoints)
     except PlanError as err:
         print("invalid fault plan: %s" % err, file=sys.stderr)
         return 2
     except BackendUnavailable as err:
         print("coverage backend unavailable: %s" % err, file=sys.stderr)
         return 2
-    print("fuzzing %s with nyx-net-%s (sim budget %.0fs, cap %s execs)"
-          % (args.target, args.policy, args.time, args.execs))
-    injector = handles.interceptor.injector
-    if injector is not None:
-        print("fault injection armed: plan %s" % injector.plan.plan_id)
-    stats = handles.fuzzer.run_campaign()
-    print(stats.summary())
-    _print_robustness(stats)
-    for bug in handles.fuzzer.crashes.unique_bugs:
-        record = handles.fuzzer.crashes.records[bug]
-        print("  CRASH %-40s t=%.2fs x%d" % (bug, record.found_at,
-                                             record.count))
+    if durable:
+        print("durable campaign on %s in %s (checkpoint every %d execs)"
+              % (args.target, args.out, args.checkpoint_every))
+        return _run_durable(driver)
+    shape = ("%d nyx-net-%s workers over one shared root"
+             % (args.workers, args.policy) if fleet
+             else "nyx-net-%s" % args.policy)
+    print("fuzzing %s with %s (sim budget %.0fs, cap %s execs)"
+          % (args.target, shape, args.time, args.execs))
+    _print_fault_plan(campaign)
+    code = _report_campaign(campaign, campaign.run_campaign())
     if args.distill:
         from repro.fuzz.trim import distill_corpus
-        inputs = [e.input for e in handles.fuzzer.corpus.entries]
-        chosen = distill_corpus(handles.executor, inputs)
-        handles.fuzzer.corpus.entries = [
-            e for e in handles.fuzzer.corpus.entries if e.input in chosen]
+        inputs = [e.input for e in campaign.corpus.entries]
+        chosen = distill_corpus(campaign.executor, inputs)
+        campaign.corpus.entries = [
+            e for e in campaign.corpus.entries if e.input in chosen]
         print("distilled corpus: %d -> %d entries"
               % (len(inputs), len(chosen)))
     if args.out:
-        written = save_campaign(handles.fuzzer, args.out)
+        written = save_campaign(campaign, args.out)
         print("saved %d files to %s" % (written, args.out))
-    if stats.sanitizer_checks:
-        print("reset sanitizer: %d checks, %d leaks"
-              % (stats.sanitizer_checks, stats.sanitizer_leaks))
-        for diag in handles.fuzzer.sanitizer_findings:
-            print("  %s" % diag.format())
-        if stats.sanitizer_leaks:
-            return 1
-    return 0
-
-
-def _fuzz_parallel(args: argparse.Namespace, profile) -> int:
-    """``fuzz --workers N``: one golden boot, N instances, shared root."""
-    from repro.coverage.backends import BackendUnavailable
-    from repro.faults import PlanError
-    from repro.fuzz.campaign import build_parallel_campaign
-    from repro.fuzz.persist import save_parallel_campaign
-    try:
-        campaign = build_parallel_campaign(
-            profile, workers=args.workers, policy=args.policy, seed=args.seed,
-            time_budget=args.time, max_total_execs=args.execs,
-            sync_interval=args.sync_interval,
-            fault_rate=args.fault_rate, exec_timeout=args.exec_timeout,
-            coverage_backend=args.coverage_backend)
-    except PlanError as err:
-        print("invalid fault plan: %s" % err, file=sys.stderr)
-        return 2
-    except BackendUnavailable as err:
-        print("coverage backend unavailable: %s" % err, file=sys.stderr)
-        return 2
-    print("fuzzing %s with %d nyx-net-%s workers over one shared root "
-          "(sim budget %.0fs, cap %s execs)"
-          % (args.target, args.workers, args.policy, args.time, args.execs))
-    aggregate = campaign.run()
-    print(aggregate.summary())
-    _print_robustness(aggregate.merged)
-    retired = campaign.retired_workers()
-    if retired:
-        print("retired workers: %s" % ", ".join(map(str, retired)))
-    footprint = campaign.unique_page_footprint()
-    print("shared-root footprint: %d unique pages (%.2fx one instance)"
-          % (footprint["total"], footprint["ratio"]))
-    crash_keys = sorted({key for w in campaign.workers
-                         for key in w.fuzzer.crashes.records})
-    for bug in crash_keys:
-        print("  CRASH %s" % bug)
-    _ignored_with_workers(args)
-    if args.out:
-        written = save_parallel_campaign(campaign, args.out)
-        print("saved %d files to %s" % (written, args.out))
-    return 0
+    return code
 
 
 def _ignored_with_workers(args: argparse.Namespace) -> None:
     """Print a notice for each flag a fleet ignores and reset it to what
-    the fleet actually runs, so a durable manifest records the truth."""
+    the fleet actually runs, so the campaign manifest records the
+    truth."""
     if args.distill:
         print("(--distill is ignored with --workers > 1)")
+        args.distill = False
     if args.sanitize_resets is not None:
         print("(--sanitize-resets is ignored with --workers > 1)")
         args.sanitize_resets = None
@@ -224,49 +199,6 @@ def _resume_conflicts(manifest: dict, args: argparse.Namespace) -> List[str]:
     return conflicts
 
 
-def _fuzz_durable(args: argparse.Namespace, profile) -> int:
-    """``fuzz --checkpoint-every N``: a journaled, resumable campaign."""
-    from repro.coverage.backends import BackendUnavailable
-    from repro.faults import PlanError
-    from repro.fuzz.campaign import campaign_from_manifest
-    from repro.fuzz.journal import DurableCampaign, campaign_manifest
-    if not args.out:
-        print("--checkpoint-every needs --out DIR (the durable campaign "
-              "directory the journal, checkpoints and manifest live in)",
-              file=sys.stderr)
-        return 2
-    if args.distill:
-        print("(--distill is ignored with --checkpoint-every)")
-    kind = "parallel" if args.workers > 1 else "single"
-    if kind == "parallel":
-        _ignored_with_workers(args)
-    manifest = campaign_manifest(
-        kind, args.target, policy=args.policy, seed=args.seed,
-        time_budget=args.time, max_execs=args.execs,
-        checkpoint_every=args.checkpoint_every,
-        asan=not args.no_asan, fault_rate=args.fault_rate,
-        fault_plan=args.fault_plan, exec_timeout=args.exec_timeout,
-        sanitize_every=args.sanitize_resets,
-        coverage_backend=args.coverage_backend,
-        workers=args.workers, sync_interval=args.sync_interval,
-        verify_checkpoints=args.verify_checkpoints,
-        max_chain_depth=args.max_chain_depth)
-    try:
-        durable = DurableCampaign(
-            campaign_from_manifest(profile, manifest), args.out,
-            checkpoint_every=args.checkpoint_every, manifest=manifest,
-            verify_every=args.verify_checkpoints)
-    except PlanError as err:
-        print("invalid fault plan: %s" % err, file=sys.stderr)
-        return 2
-    except BackendUnavailable as err:
-        print("coverage backend unavailable: %s" % err, file=sys.stderr)
-        return 2
-    print("durable campaign on %s in %s (checkpoint every %d execs)"
-          % (args.target, args.out, args.checkpoint_every))
-    return _run_durable(durable)
-
-
 def _fuzz_resume(args: argparse.Namespace) -> int:
     """``fuzz --resume DIR``: continue a durable campaign."""
     from repro.coverage.backends import BackendUnavailable
@@ -317,6 +249,7 @@ def _fuzz_resume(args: argparse.Namespace) -> int:
 def _run_durable(durable) -> int:
     """Drive a durable campaign under graceful signal handling."""
     from repro.fuzz.journal import GracefulShutdown
+    _print_fault_plan(durable.campaign)
     with GracefulShutdown() as drain:
         try:
             result = durable.run(stop=drain)
@@ -331,30 +264,10 @@ def _run_durable(durable) -> int:
               % durable.directory)
         print("resume with: repro fuzz --resume %s" % durable.directory)
         return 3
-    campaign = durable.campaign
-    totals = campaign.merged_stats()
-    print(result.summary())
-    _print_robustness(totals)
-    if durable.fleet:
-        retired = campaign.retired_workers()
-        if retired:
-            print("retired workers: %s" % ", ".join(map(str, retired)))
-        for bug in sorted({key for w in campaign.workers
-                           for key in w.fuzzer.crashes.records}):
-            print("  CRASH %s" % bug)
-    else:
-        for bug in campaign.crashes.unique_bugs:
-            record = campaign.crashes.records[bug]
-            print("  CRASH %-40s t=%.2fs x%d" % (bug, record.found_at,
-                                                 record.count))
-    if totals.sanitizer_checks:
-        print("reset sanitizer: %d checks, %d leaks"
-              % (totals.sanitizer_checks, totals.sanitizer_leaks))
-        for fuzzer in campaign.fuzzers:
-            for diag in fuzzer.sanitizer_findings:
-                print("  %s" % diag.format())
-        if totals.sanitizer_leaks:
-            return 1
+    code = _report_campaign(durable.campaign, result)
+    if code:
+        return code
+    totals = durable.campaign.merged_stats()
     print("durability: %d checkpoints written, %d stale epochs pruned, "
           "%d verifications, %d divergences"
           % (totals.checkpoints_written, totals.checkpoint_epochs_pruned,
@@ -369,20 +282,53 @@ def _run_durable(durable) -> int:
     return 0
 
 
-def _print_robustness(stats) -> None:
-    """One line of fault/watchdog counters when anything fired."""
-    if not (stats.timeouts or stats.faults_injected or stats.snapshot_rebuilds
-            or stats.worker_failures or stats.quarantined_inputs
-            or stats.degraded_root_only):
-        return
-    line = ("robustness: %d timeouts, %d faults injected, "
-            "%d snapshot rebuilds, %d worker failures, %d quarantined"
-            % (stats.timeouts, stats.faults_injected,
-               stats.snapshot_rebuilds, stats.worker_failures,
-               stats.quarantined_inputs))
-    if stats.degraded_root_only:
-        line += " [degraded to root-only]"
-    print(line)
+def _print_fault_plan(campaign) -> None:
+    """Name a single campaign's fault plan (replayable with
+    ``--fault-plan``); fleet workers each derive their own."""
+    if campaign.durable_kind == "single":
+        injector = campaign.executor.interceptor.injector
+        if injector is not None:
+            print("fault injection armed: plan %s" % injector.plan.plan_id)
+
+
+def _report_campaign(campaign, result) -> int:
+    """Print a finished campaign's report: ``result.summary()``, the
+    robustness counters, a fleet's retired workers and shared-root
+    footprint, each unique crash and the reset sanitizer's verdict.
+    Returns 1 if the sanitizer caught a leak, else 0."""
+    from repro.fuzz.crash import first_crashes
+    totals = campaign.merged_stats()
+    print(result.summary())
+    if (totals.timeouts or totals.faults_injected or totals.snapshot_rebuilds
+            or totals.worker_failures or totals.quarantined_inputs
+            or totals.degraded_root_only):
+        line = ("robustness: %d timeouts, %d faults injected, "
+                "%d snapshot rebuilds, %d worker failures, %d quarantined"
+                % (totals.timeouts, totals.faults_injected,
+                   totals.snapshot_rebuilds, totals.worker_failures,
+                   totals.quarantined_inputs))
+        if totals.degraded_root_only:
+            line += " [degraded to root-only]"
+        print(line)
+    if campaign.durable_kind == "parallel":
+        retired = campaign.retired_workers()
+        if retired:
+            print("retired workers: %s" % ", ".join(map(str, retired)))
+        footprint = campaign.unique_page_footprint()
+        print("shared-root footprint: %d unique pages (%.2fx one instance)"
+              % (footprint["total"], footprint["ratio"]))
+    for bug, record in first_crashes(campaign).items():
+        print("  CRASH %-40s t=%.2fs x%d" % (bug, record.found_at,
+                                             record.count))
+    if totals.sanitizer_checks:
+        print("reset sanitizer: %d checks, %d leaks"
+              % (totals.sanitizer_checks, totals.sanitizer_leaks))
+        for fuzzer in campaign.fuzzers:
+            for diag in fuzzer.sanitizer_findings:
+                print("  %s" % diag.format())
+        if totals.sanitizer_leaks:
+            return 1
+    return 0
 
 
 def _cmd_mario(args: argparse.Namespace) -> int:

@@ -24,8 +24,7 @@ from repro.fuzz.fuzzer import NyxNetFuzzer, FuzzerConfig
 from repro.fuzz.stats import AggregateStats, CampaignStats
 from repro.fuzz.crash import CrashDatabase
 from repro.fuzz.trim import trim_input, distill_corpus
-from repro.fuzz.persist import (save_campaign, save_parallel_campaign,
-                                load_corpus)
+from repro.fuzz.persist import save_campaign, load_corpus
 from repro.fuzz.parallel import (ParallelCampaign, ParallelConfig,
                                  WorkerHandle)
 
@@ -35,6 +34,5 @@ __all__ = [
     "make_policy", "ExecResult", "NyxExecutor", "NyxNetFuzzer",
     "FuzzerConfig", "CampaignStats", "AggregateStats", "CrashDatabase",
     "ParallelCampaign", "ParallelConfig", "WorkerHandle",
-    "trim_input", "distill_corpus", "save_campaign",
-    "save_parallel_campaign", "load_corpus",
+    "trim_input", "distill_corpus", "save_campaign", "load_corpus",
 ]

@@ -86,3 +86,20 @@ class CrashDatabase:
 
     def __contains__(self, key: str) -> bool:
         return key in self.records
+
+
+def first_crashes(campaign) -> Dict[str, CrashRecord]:
+    """Each unique bug's earliest record across a campaign's fuzzers.
+
+    ``campaign`` speaks the campaign protocol: a lone fuzzer yields its
+    own records, a fleet the earliest discovery of each bug over its
+    workers (ties go to the lower worker).  Sorted by dedup key — the
+    order reports, ``crashes/`` and ``final.json`` list them in.
+    """
+    first: Dict[str, CrashRecord] = {}
+    for fuzzer in campaign.fuzzers:
+        for key, record in fuzzer.crashes.records.items():
+            kept = first.get(key)
+            if kept is None or record.found_at < kept.found_at:
+                first[key] = record
+    return dict(sorted(first.items()))

@@ -320,7 +320,7 @@ class CheckpointStore:
 
 def campaign_manifest(kind: str, target: str, *, policy: str, seed: int,
                       time_budget: float, max_execs: Optional[int],
-                      checkpoint_every: int,
+                      checkpoint_every: Optional[int],
                       iterations_per_snapshot: int = 50,
                       asan: bool = True, fault_rate: float = 0.0,
                       fault_plan: Optional[str] = None,
@@ -331,7 +331,12 @@ def campaign_manifest(kind: str, target: str, *, policy: str, seed: int,
                       sync_interval: float = 5.0,
                       verify_checkpoints: Optional[int] = None,
                       max_chain_depth: int = 1) -> dict:
-    """Everything needed to rebuild this campaign deterministically."""
+    """Everything needed to rebuild this campaign deterministically.
+
+    Every ``repro fuzz`` run builds its campaign from one of these
+    (:func:`repro.fuzz.campaign.campaign_from_manifest`); a plain run
+    passes ``checkpoint_every=None`` and never writes it to disk.
+    """
     from repro.spec.nodes import default_network_spec
     spec = default_network_spec()
     return {
@@ -751,13 +756,13 @@ class DurableCampaign:
         self.close()
 
     def _finalize(self) -> None:
-        from repro.fuzz.persist import save_campaign, save_parallel_campaign
+        from repro.fuzz.crash import first_crashes
+        from repro.fuzz.persist import save_campaign
         from repro.fuzz.stats import stats_checksum
         campaign = self.campaign
         stats = campaign.merged_stats()
         self.save_checkpoint("final")
-        save = save_parallel_campaign if self.fleet else save_campaign
-        save(campaign, str(self.directory))
+        save_campaign(campaign, str(self.directory))
         checksum = stats_checksum(stats)
         final = {
             "kind": self.kind,
@@ -765,8 +770,7 @@ class DurableCampaign:
             "execs": stats.execs,
             "edges": stats.final_edges,
             "sim_seconds": stats.end_time,
-            "crashes": sorted({key for fuzzer in campaign.fuzzers
-                               for key in fuzzer.crashes.records}),
+            "crashes": list(first_crashes(campaign)),
         }
         if self.fleet:
             final["workers"] = len(campaign.fuzzers)

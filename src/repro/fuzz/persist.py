@@ -11,7 +11,7 @@ Layout::
     <dir>/crashes/<dedup-key>.nyx   the first input triggering each bug
     <dir>/crashes/<dedup-key>.fastest.nyx  fastest reproducer (if distinct)
     <dir>/crashes/<dedup-key>.txt   human-readable crash report
-    <dir>/stats.json                campaign summary
+    <dir>/stats.json                the campaign's stats (see save_campaign)
 
 All files are written atomically (temp file + ``os.replace``) so a
 campaign killed mid-save never leaves a half-written corpus behind;
@@ -27,7 +27,7 @@ import pathlib
 import warnings
 from typing import List, Optional
 
-from repro.fuzz.fuzzer import NyxNetFuzzer
+from repro.fuzz.crash import first_crashes
 from repro.fuzz.input import FuzzInput
 from repro.spec.bytecode import SpecError, deserialize, serialize
 from repro.spec.nodes import Spec, default_network_spec
@@ -107,55 +107,27 @@ def _write_crash_record(crash_dir: pathlib.Path, key: str, record,
     return written + 1
 
 
-def save_campaign(fuzzer: NyxNetFuzzer, directory: str,
+def save_campaign(campaign, directory: str,
                   spec: Optional[Spec] = None) -> int:
-    """Persist the corpus, crashes and stats; returns files written."""
-    spec = spec or default_network_spec()
-    root = pathlib.Path(directory)
-    queue_dir = root / "queue"
-    crash_dir = root / "crashes"
-    queue_dir.mkdir(parents=True, exist_ok=True)
-    crash_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
-    for entry in fuzzer.corpus.entries:
-        path = queue_dir / ("id_%06d.nyx" % entry.entry_id)
-        try:
-            _atomic_write_bytes(path, serialize(spec, entry.input.ops))
-        except SpecError:
-            continue  # inputs from foreign specs are skipped
-        written += 1
-    for key, record in fuzzer.crashes.records.items():
-        written += _write_crash_record(crash_dir, key, record, spec)
-    stats = fuzzer.stats
-    _atomic_write_text(root / "stats.json", json.dumps({
-        "fuzzer": stats.fuzzer_name,
-        "target": stats.target_name,
-        "execs": stats.execs,
-        "suffix_execs": stats.suffix_execs,
-        "edges": stats.final_edges,
-        "crashes": sorted(fuzzer.crashes.records),
-        "sim_seconds": stats.end_time,
-        "queue": len(fuzzer.corpus),
-        "timeouts": stats.timeouts,
-        "faults_injected": stats.faults_injected,
-        "snapshot_rebuilds": stats.snapshot_rebuilds,
-        "degraded_root_only": stats.degraded_root_only,
-        "trim_ops_static": stats.trim_ops_static,
-        "trim_ops_exec": stats.trim_ops_exec,
-    }, indent=2))
-    return written + 1
+    """Persist a campaign's corpus, crashes and stats; returns files
+    written.
 
-
-def save_parallel_campaign(campaign, directory: str,
-                           spec: Optional[Spec] = None) -> int:
-    """Persist a :class:`~repro.fuzz.parallel.ParallelCampaign`.
-
-    The fleet's corpora are merged into one queue directory (dedup by
-    serialized bytecode — peers share imported entries, which would
-    otherwise be written N times), crashes keep the earliest discovery
-    of each bug, and ``stats.json`` holds the aggregate view plus the
-    per-worker breakdown.  The layout stays loadable by
-    :func:`load_corpus`, so parallel campaigns resume like single ones.
+    ``campaign`` speaks the campaign protocol: a lone
+    :class:`~repro.fuzz.fuzzer.NyxNetFuzzer` is a campaign of one, a
+    :class:`~repro.fuzz.parallel.ParallelCampaign` a fleet.  The
+    fuzzers' corpora merge into one queue numbered from ``id_000000``
+    (dedup by serialized bytecode — fleet peers share imported
+    entries, which would otherwise be written N times), ``crashes/``
+    keeps each bug's earliest discovery
+    (:func:`~repro.fuzz.crash.first_crashes`), and ``stats.json`` holds
+    ``campaign.result().as_dict()``: a single campaign's
+    :class:`~repro.fuzz.stats.CampaignStats` view — the one
+    ``stats_checksum`` hashes, so its keys are ``final_edges``,
+    ``crashes_found``/``crash_times``, ``end_time`` and ``queue_size``
+    where older files had ``edges``, ``crashes``, ``sim_seconds`` and
+    ``queue`` — or a fleet's :class:`~repro.fuzz.stats.AggregateStats`
+    (``merged`` plus per-worker ``workers``) with its shared-root
+    ``footprint``.  The layout stays loadable by :func:`load_corpus`.
     """
     spec = spec or default_network_spec()
     root = pathlib.Path(directory)
@@ -165,31 +137,25 @@ def save_parallel_campaign(campaign, directory: str,
     crash_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     seen_blobs = set()
-    for worker in campaign.workers:
-        for entry in worker.fuzzer.corpus.entries:
+    for fuzzer in campaign.fuzzers:
+        for entry in fuzzer.corpus.entries:
             try:
                 blob = serialize(spec, entry.input.ops)
             except SpecError:
-                continue
+                continue  # inputs from foreign specs are skipped
             if blob in seen_blobs:
                 continue
-            # Number before recording the blob so the merged queue
-            # starts at id_000000 like save_campaign's.
+            # Number before recording the blob so the queue starts at
+            # id_000000.
             index = len(seen_blobs)
             seen_blobs.add(blob)
             _atomic_write_bytes(queue_dir / ("id_%06d.nyx" % index), blob)
             written += 1
-    first_records = {}
-    for worker in campaign.workers:
-        for key, record in worker.fuzzer.crashes.records.items():
-            kept = first_records.get(key)
-            if kept is None or record.found_at < kept.found_at:
-                first_records[key] = record
-    for key, record in sorted(first_records.items()):
+    for key, record in first_crashes(campaign).items():
         written += _write_crash_record(crash_dir, key, record, spec)
-    aggregate = campaign.aggregate()
-    payload = aggregate.as_dict()
-    payload["footprint"] = campaign.unique_page_footprint()
+    payload = campaign.result().as_dict()
+    if campaign.durable_kind == "parallel":
+        payload["footprint"] = campaign.unique_page_footprint()
     _atomic_write_text(root / "stats.json",
                        json.dumps(payload, indent=2, sort_keys=True))
     return written + 1

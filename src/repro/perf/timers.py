@@ -18,31 +18,6 @@ def wall_now() -> float:
     return time.perf_counter()  # nyx: allow[NYX020]
 
 
-class WallTimer:
-    """Accumulating stopwatch over :func:`wall_now`.
-
-    A disabled timer (``WallTimer(enabled=False)``) never reads the
-    host clock and accumulates nothing, so measurement scaffolding can
-    stay in place on paths where timing is switched off without paying
-    two clock reads per window.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.elapsed = 0.0
-        self._started_at = None
-
-    def __enter__(self) -> "WallTimer":
-        if self.enabled:
-            self._started_at = wall_now()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.enabled:
-            self.elapsed += wall_now() - self._started_at
-            self._started_at = None
-
-
 def bench_loop(fn: Callable[[int], object], *, min_seconds: float,
                min_iterations: int = 3,
                max_iterations: int = 1 << 22) -> Tuple[int, float]:

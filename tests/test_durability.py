@@ -751,14 +751,14 @@ class TestPersistSatellites:
         assert captured[0].endswith(".tmp.%d" % os.getpid())
 
     def test_parallel_queue_numbering_starts_at_zero(self, tmp_path):
-        from repro.fuzz.persist import save_parallel_campaign
+        from repro.fuzz.persist import save_campaign
         manifest = campaign_manifest(
             "parallel", "lighttpd", policy="balanced", seed=5,
             time_budget=5.0, max_execs=200, checkpoint_every=100, workers=2)
         campaign = build_parallel_campaign_from_manifest(
             PROFILES["lighttpd"], manifest)
         campaign.run()
-        save_parallel_campaign(campaign, str(tmp_path))
+        save_campaign(campaign, str(tmp_path))
         names = sorted(p.name for p in (tmp_path / "queue").glob("*.nyx"))
         assert names[0] == "id_000000.nyx"
         assert names == ["id_%06d.nyx" % i for i in range(len(names))]

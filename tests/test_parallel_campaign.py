@@ -14,7 +14,7 @@ from repro.cli import main
 from repro.fuzz.campaign import build_parallel_campaign
 from repro.fuzz.input import packets_input
 from repro.fuzz.parallel import ParallelCampaign, ParallelConfig
-from repro.fuzz.persist import load_corpus, save_parallel_campaign
+from repro.fuzz.persist import load_corpus, save_campaign
 from repro.targets import PROFILES
 
 
@@ -118,7 +118,7 @@ class TestAggregation:
 
 class TestParallelPersistence:
     def test_save_dedups_and_roundtrips(self, small_campaign, tmp_path):
-        written = save_parallel_campaign(small_campaign, str(tmp_path))
+        written = save_campaign(small_campaign, str(tmp_path))
         assert written > 0
         queue_files = list((tmp_path / "queue").glob("*.nyx"))
         blobs = {p.read_bytes() for p in queue_files}
@@ -130,7 +130,7 @@ class TestParallelPersistence:
 
     def test_stats_json_holds_aggregate_and_footprint(self, small_campaign,
                                                       tmp_path):
-        save_parallel_campaign(small_campaign, str(tmp_path))
+        save_campaign(small_campaign, str(tmp_path))
         payload = json.loads((tmp_path / "stats.json").read_text())
         assert payload["num_workers"] == 3
         assert len(payload["workers"]) == 3
