@@ -15,6 +15,9 @@ enforced dynamically at (de)serialization time:
 * :mod:`repro.analysis.fixes` — mechanical repairs (dead-op
   elimination with ref remapping, marker normalization, ill-typed-op
   dropping) used by trim, persistence and corpus sync;
+* :mod:`repro.analysis.source` — the one source index the four source
+  lints below share: each module read and parsed once, one class
+  scanner, ``# nyx: hot`` comments tokenized once;
 * :mod:`repro.analysis.selflint` — AST determinism lint over
   ``src/repro`` (wall clock, host randomness, OS entropy, unordered
   set iteration — everything that would break deterministic
@@ -55,6 +58,7 @@ from repro.analysis.resetlint import (analyze_reset_source,
                                       tree_fixit_stubs)
 from repro.analysis.sanitizer import (ResetSanitizer, diff_digests,
                                       structural_digest)
+from repro.analysis.source import SourceIndex
 from repro.analysis.speclint import analyze_spec
 from repro.analysis.statediff import (fixpoint_check, state_digest,
                                       verify_checkpoint)
@@ -66,7 +70,7 @@ __all__ = [
     "repair_ops", "analyze_ops", "analyze_spec",
     "analyze_reset_source", "analyze_reset_tree", "allowed_reset_attrs",
     "fixit_stubs", "tree_fixit_stubs",
-    "ResetSanitizer", "diff_digests", "structural_digest",
+    "ResetSanitizer", "diff_digests", "structural_digest", "SourceIndex",
     "analyze_durability_source", "analyze_durability_tree",
     "durability_fixit_stubs", "state_inventory",
     "fixpoint_check", "state_digest", "verify_checkpoint",

@@ -205,6 +205,15 @@ def allow_tokens(lines: Sequence[str], lineno: int) -> Set[str]:
     return {tok.strip() for tok in match.group(1).split(",") if tok.strip()}
 
 
+def suppressed(lines: Sequence[str], code: str, *linenos: int,
+               family: Iterable[str] = ()) -> bool:
+    """Does a ``# nyx: allow[...]`` on any of ``linenos`` (the finding
+    line, and the ``def``/``class`` lines where a lint honours them)
+    name ``code`` or one of the ``family`` tokens?"""
+    accepted = {code, *family}
+    return any(accepted & allow_tokens(lines, lineno) for lineno in linenos)
+
+
 def has_marker(lines: Sequence[str], lineno: int, marker: str) -> bool:
     """Is the ``# nyx: <marker>`` annotation present on ``lineno``?"""
     if not 1 <= lineno <= len(lines):

@@ -1,36 +1,31 @@
 """Durability lint (NYX06x): state-capture completeness analysis.
 
-PR 7 made campaigns durable: every class on the checkpoint path
-exposes a ``snapshot_state``/``restore_state`` pair (the executor's
-``durable_state``/``restore_durable_state``) whose pickled output is
-what crosses process death.  Nothing checked those pairs for
-completeness — one new mutable attribute that never travels silently
-breaks bit-identical resume, the drift StateAFL-style state inference
+Every class on the checkpoint path exposes a ``snapshot_state``/
+``restore_state`` pair (the executor's ``durable_state``/
+``restore_durable_state``) whose pickled output is what crosses process
+death.  One new mutable attribute that never travels silently breaks
+bit-identical resume, the drift StateAFL-style state inference
 (PAPERS.md) shows is fatal and SnapFuzz avoids by making capture a
 *checked* invariant.  This pass is the static half of that check (the
-runtime half is :mod:`repro.analysis.statediff`):
+runtime half is :mod:`repro.analysis.statediff`).  It runs over every
+module of a :class:`~repro.analysis.source.SourceIndex`, layered on the
+index's per-class mutable-state records:
 
-* **NYX060** — a mutable attribute (reusing :mod:`.resetlint`'s
-  per-class mutable-state registry) is mutated after ``__init__`` but
-  is neither read by the snapshot method nor re-initialised by the
-  restore method;
-* **NYX061** — snapshot/restore asymmetry: a key is captured but the
-  restore method never reads it, or restored but never captured;
+* **NYX060** — an attribute mutated after ``__init__`` is neither read
+  by the snapshot method nor re-initialised by the restore method;
+* **NYX061** — a key is captured but never restored, or the reverse;
 * **NYX062** — the capture set changed against the committed
-  state-inventory golden (``tests/golden/state_inventory.json``)
-  without a ``STATE_FORMAT`` bump;
-* **NYX063** — a non-deterministically-serializable leaf: a ``set``
-  (or ``id()``) reaches the pickled state, so two snapshots of equal
-  state can differ byte-wise;
+  ``tests/golden/state_inventory.json`` without a ``STATE_FORMAT`` bump;
+* **NYX063** — a ``set`` (or ``id()``) reaches the pickled state, so two
+  snapshots of equal state can differ byte-wise;
 * **NYX064** — a journal frame kind is appended without a matching
   entry in the ``FRAME_KINDS`` resume/salvage registry.
 
-Deliberate exclusions are annotated inline: ``# nyx: state[ephemeral]``
-on the attribute's defining line marks host-side state that is
-*rebuilt, re-armed or recounted* on resume by design (caches, perf
-counters, the sanitizer hook), and ``# nyx: allow[NYX06x]`` /
-``# nyx: allow[NYX060]`` / ``# nyx: allow[state]`` suppress the whole
-family or one rule, on the finding line or the ``class`` line.  Every
+``# nyx: state[ephemeral]`` on an attribute's defining line marks
+host-side state that is rebuilt, re-armed or recounted on resume by
+design (caches, perf counters, the sanitizer hook).  ``# nyx:
+allow[NYX060]`` (one rule) or ``allow[state]``/``allow[NYX06x]`` (the
+family) suppresses, on the finding line or the ``class`` line.  Every
 suppression should carry a justification comment.
 """
 
@@ -40,12 +35,13 @@ import ast
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, has_marker
-from repro.analysis.resetlint import (ClassRecord, _allow_tokens,
-                                      _default_expr, _is_direct_self_attr,
-                                      _MethodScan, _scan_class)
+from repro.analysis.diagnostics import Diagnostic, has_marker, suppressed
+from repro.analysis.resetlint import _default_expr
+from repro.analysis.source import (Binding, ClassRecord, SourceIndex,
+                                   SourceModule, as_index, direct_self_attr,
+                                   module_of_text)
 
 #: snapshot-method name -> its restore counterpart.
 STATE_PAIRS: Dict[str, str] = {
@@ -56,28 +52,31 @@ STATE_PAIRS: Dict[str, str] = {
 #: spelled-out family alias.
 FAMILY_TOKEN = "state"
 FAMILY_ALIAS = "NYX06x"
+FAMILY = (FAMILY_TOKEN, FAMILY_ALIAS)
 #: Default golden inventory location, relative to the repo root.
 GOLDEN_INVENTORY = pathlib.Path("tests") / "golden" / "state_inventory.json"
 
-def _ephemeral_marked(lines: Sequence[str], lineno: int) -> bool:
-    return has_marker(lines, lineno, "state[ephemeral]")
-
-
-def _suppressed(record: _DurClass, lines: Sequence[str], lineno: int,
-                code: str) -> bool:
-    tokens = _allow_tokens(lines, lineno) | record.allow_tokens
-    return bool(tokens & {FAMILY_TOKEN, FAMILY_ALIAS, code})
-
 
 # ---------------------------------------------------------------------------
-# per-class capture scan (layered on resetlint's registry)
+# per-class capture scan (layered on the index's class records)
 # ---------------------------------------------------------------------------
+
+def _int_constant(bindings: List[Binding], name: str) -> Optional[int]:
+    """The last plain ``name = <int>`` among ``bindings``."""
+    value = None
+    for binding in bindings:
+        if (binding.name == name and not binding.annotated
+                and isinstance(binding.value, ast.Constant)
+                and isinstance(binding.value.value, int)):
+            value = binding.value.value
+    return value
+
 
 def _self_reads(node: ast.AST, self_name: str) -> Set[str]:
     """Every ``self.X`` attribute mentioned anywhere under ``node``."""
     reads: Set[str] = set()
     for inner in ast.walk(node):
-        direct = _is_direct_self_attr(inner, self_name)
+        direct = direct_self_attr(inner, self_name)
         if direct is not None:
             reads.add(direct)
     return reads
@@ -148,37 +147,24 @@ class _DurClass:
     #: class-body ``STATE_FORMAT = <int>`` value.
     state_format: Optional[int] = None
 
-    @property
-    def allow_tokens(self) -> Set[str]:
-        return self.record.allow_tokens
-
     def pair_names(self) -> str:
         names = sorted(set(self.snapshots) | {STATE_PAIRS[s] for s in
                                               self.snapshots})
         return "/".join(names) if names else "restore"
 
 
-def _scan_dur_class(node: ast.ClassDef, lines: Sequence[str]
-                    ) -> Optional[_DurClass]:
-    dur = _DurClass(record=_scan_class(node, lines))
+def _dur_class(record: ClassRecord) -> Optional[_DurClass]:
+    dur = _DurClass(record=record,
+                    state_format=_int_constant(record.bindings,
+                                              "STATE_FORMAT"))
     restore_names = {v: k for k, v in STATE_PAIRS.items()}
-    for stmt in node.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if (isinstance(target, ast.Name)
-                        and target.id == "STATE_FORMAT"
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, int)):
-                    dur.state_format = stmt.value.value
-        if not isinstance(stmt, ast.FunctionDef):
+    for method in record.methods:
+        stmt = method.node
+        if not isinstance(stmt, ast.FunctionDef) or not method.receiver:
             continue
-        args = stmt.args.posonlyargs + stmt.args.args
-        if not args:
-            continue
-        self_name = args[0].arg
         if stmt.name in STATE_PAIRS:
             dur.snapshots[stmt.name] = stmt
-            dur.snapshot_reads |= _self_reads(stmt, self_name)
+            dur.snapshot_reads |= _self_reads(stmt, method.receiver)
             for inner in ast.walk(stmt):
                 if (isinstance(inner, ast.Return)
                         and isinstance(inner.value, ast.Dict)):
@@ -192,11 +178,10 @@ def _scan_dur_class(node: ast.ClassDef, lines: Sequence[str]
                                 key.value, (key.lineno, value))
         elif stmt.name in restore_names:
             dur.restores[stmt.name] = stmt
-            scan = _MethodScan(self_name)
-            for inner in stmt.body:
-                scan.visit(inner)
+            scan = method.scan
             dur.restore_handled |= {name for _l, name, _v in scan.writes}
             dur.restore_handled |= {name for _l, name in scan.mutations}
+            args = stmt.args.posonlyargs + stmt.args.args
             state_param = {args[1].arg} if len(args) > 1 else set()
             for line, key in _str_keys(stmt, state_param):
                 dur.restored_keys.setdefault(key, line)
@@ -210,11 +195,11 @@ def _scan_dur_class(node: ast.ClassDef, lines: Sequence[str]
 # per-class diagnostics
 # ---------------------------------------------------------------------------
 
-def _class_diags(dur: _DurClass, filename: str,
-                 lines: Sequence[str]) -> List[Diagnostic]:
+def _class_diags(dur: _DurClass, module: SourceModule) -> List[Diagnostic]:
     record = dur.record
+    filename, lines = module.filename, module.lines
     diags: List[Diagnostic] = []
-    if _suppressed(dur, lines, record.line, "NYX060"):
+    if suppressed(lines, "NYX060", record.line, family=FAMILY):
         pass
     elif dur.snapshots:
         # NYX060: mutated attribute that neither travels through the
@@ -226,9 +211,9 @@ def _class_diags(dur: _DurClass, filename: str,
             if name in dur.snapshot_reads or name in dur.restore_handled:
                 continue
             anchor = attr.anchor_line or record.line
-            if _ephemeral_marked(lines, anchor):
+            if has_marker(lines, anchor, "state[ephemeral]"):
                 continue
-            if _suppressed(dur, lines, anchor, "NYX060"):
+            if suppressed(lines, "NYX060", anchor, record.line, family=FAMILY):
                 continue
             mut_line, mut_method = attr.mutations[0]
             diags.append(Diagnostic(
@@ -243,7 +228,8 @@ def _class_diags(dur: _DurClass, filename: str,
         if not dur.restores:
             for key in sorted(dur.captured):
                 line = dur.captured[key][0]
-                if _suppressed(dur, lines, line, "NYX061"):
+                if suppressed(lines, "NYX061", line, record.line,
+                              family=FAMILY):
                     continue
                 diags.append(Diagnostic(
                     "NYX061",
@@ -255,7 +241,8 @@ def _class_diags(dur: _DurClass, filename: str,
                 if key in dur.consumed_keys:
                     continue
                 line = dur.captured[key][0]
-                if _suppressed(dur, lines, line, "NYX061"):
+                if suppressed(lines, "NYX061", line, record.line,
+                              family=FAMILY):
                     continue
                 diags.append(Diagnostic(
                     "NYX061",
@@ -269,7 +256,7 @@ def _class_diags(dur: _DurClass, filename: str,
         if dur.captured is None and dur.snapshots:
             continue  # opaque snapshot body: nothing to compare against
         line = dur.restored_keys[key]
-        if _suppressed(dur, lines, line, "NYX061"):
+        if suppressed(lines, "NYX061", line, record.line, family=FAMILY):
             continue
         what = ("%s() never captures it"
                 % "/".join(sorted(dur.snapshots)) if dur.snapshots
@@ -288,7 +275,7 @@ def _class_diags(dur: _DurClass, filename: str,
                 direct = None
                 for stmt in dur.snapshots.values():
                     args = stmt.args.posonlyargs + stmt.args.args
-                    direct = _is_direct_self_attr(value, args[0].arg)
+                    direct = direct_self_attr(value, args[0].arg)
                     if direct is not None:
                         break
                 if direct is not None:
@@ -298,7 +285,8 @@ def _class_diags(dur: _DurClass, filename: str,
                         bad_line = value.lineno
             if bad_line is None:
                 continue
-            if _suppressed(dur, lines, bad_line, "NYX063"):
+            if suppressed(lines, "NYX063", bad_line, record.line,
+                          family=FAMILY):
                 continue
             diags.append(Diagnostic(
                 "NYX063",
@@ -338,23 +326,15 @@ def _journal_appends(tree: ast.Module) -> List[Tuple[int, str]]:
     return appends
 
 
-def _frame_kind_registry(tree: ast.Module) -> Optional[Set[str]]:
+def _frame_kind_registry(bindings: List[Binding]) -> Optional[Set[str]]:
     """Keys of a module-level ``FRAME_KINDS = {...}`` dict literal
     (plain or annotated assignment)."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            if (isinstance(target, ast.Name)
-                    and target.id == "FRAME_KINDS"
-                    and isinstance(node.value, ast.Dict)):
-                return {k.value for k in node.value.keys
-                        if isinstance(k, ast.Constant)
-                        and isinstance(k.value, str)}
+    for binding in bindings:
+        if (binding.name == "FRAME_KINDS"
+                and isinstance(binding.value, ast.Dict)):
+            return {k.value for k in binding.value.keys
+                    if isinstance(k, ast.Constant)
+                    and isinstance(k.value, str)}
     return None
 
 
@@ -362,48 +342,19 @@ def _frame_kind_registry(tree: ast.Module) -> Optional[Set[str]]:
 # module / tree entry points
 # ---------------------------------------------------------------------------
 
-class _ModuleScan:
-    """Everything durlint learned about one module."""
-
-    def __init__(self, filename: str, text: str) -> None:
-        self.filename = filename
-        self.lines = text.splitlines()
-        self.classes: List[_DurClass] = []
-        self.appends: List[Tuple[int, str]] = []
-        self.frame_kinds: Optional[Set[str]] = None
-        self.module_state_format: Optional[int] = None
-        self.parse_error: Optional[Diagnostic] = None
-        try:
-            tree = ast.parse(text, filename=filename)
-        except SyntaxError as err:
-            self.parse_error = Diagnostic(
-                "NYX045", "unparseable module: %s; durability cannot be "
-                "audited" % err, file=filename, line=err.lineno or 0)
-            return
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                dur = _scan_dur_class(node, self.lines)
-                if dur is not None:
-                    self.classes.append(dur)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (isinstance(target, ast.Name)
-                            and target.id == "STATE_FORMAT"
-                            and isinstance(node.value, ast.Constant)
-                            and isinstance(node.value.value, int)):
-                        self.module_state_format = node.value.value
-        self.appends = _journal_appends(tree)
-        self.frame_kinds = _frame_kind_registry(tree)
-
-
-def _append_diags(scan: _ModuleScan,
+def _module_diags(module: SourceModule,
                   handled: Optional[Set[str]]) -> List[Diagnostic]:
+    if module.tree is None:
+        return [module.parse_failure(
+            "NYX045", "; durability cannot be audited")]
     diags: List[Diagnostic] = []
-    for line, kind in scan.appends:
+    for dur in filter(None, map(_dur_class, module.classes)):
+        diags.extend(_class_diags(dur, module))
+    # NYX064: journal frame kinds without a FRAME_KINDS registration.
+    for line, kind in _journal_appends(module.tree):
         if handled is not None and kind in handled:
             continue
-        tokens = _allow_tokens(scan.lines, line)
-        if tokens & {FAMILY_TOKEN, FAMILY_ALIAS, "NYX064"}:
+        if suppressed(module.lines, "NYX064", line, family=FAMILY):
             continue
         detail = ("is not registered in FRAME_KINDS" if handled is not None
                   else "has no FRAME_KINDS registry to declare its "
@@ -411,7 +362,7 @@ def _append_diags(scan: _ModuleScan,
         diags.append(Diagnostic(
             "NYX064",
             "journal frame kind %r %s; resume would drop or choke on it"
-            % (kind, detail), file=scan.filename, line=line))
+            % (kind, detail), file=module.filename, line=line))
     return diags
 
 
@@ -424,25 +375,15 @@ def analyze_durability_source(filename: str, text: str,
     registries; without one, the module's own registry (if any) is
     used, and appends with no registry in sight are all flagged.
     """
-    scan = _ModuleScan(filename, text)
-    if scan.parse_error is not None:
-        return [scan.parse_error]
-    diags: List[Diagnostic] = []
-    for dur in scan.classes:
-        diags.extend(_class_diags(dur, filename, scan.lines))
-    handled = handled_kinds if handled_kinds is not None else scan.frame_kinds
-    diags.extend(_append_diags(scan, handled))
+    module = module_of_text(filename, text)
+    if handled_kinds is None:
+        handled_kinds = _frame_kind_registry(module.bindings)
+    diags = _module_diags(module, handled_kinds)
     diags.sort(key=lambda d: (d.line or 0, d.code))
     return diags
 
 
-def _dur_tree_files(root: str) -> List[pathlib.Path]:
-    root_path = pathlib.Path(root)
-    return [p for p in sorted(root_path.rglob("*.py"))
-            if "__pycache__" not in p.parts]
-
-
-def state_inventory(root: str) -> Dict[str, Dict[str, object]]:
+def state_inventory(root) -> Dict[str, Dict[str, object]]:
     """Capture-set inventory of every stateful class under ``root``.
 
     ``{Class: {"module": relpath, "keys": sorted snapshot keys,
@@ -450,37 +391,31 @@ def state_inventory(root: str) -> Dict[str, Dict[str, object]]:
     ``tests/golden/state_inventory.json`` and diffed by NYX062.
     """
     inventory: Dict[str, Dict[str, object]] = {}
-    root_path = pathlib.Path(root)
-    for path in _dur_tree_files(root):
-        scan = _ModuleScan(str(path), path.read_text(encoding="utf-8"))
-        if scan.parse_error is not None:
+    for module in as_index(root).modules:
+        if module.tree is None:
             continue
-        try:
-            module = path.relative_to(root_path).as_posix()
-        except ValueError:
-            module = path.as_posix()
-        for dur in scan.classes:
+        for dur in filter(None, map(_dur_class, module.classes)):
             if dur.captured is None:
                 continue
             fmt = dur.state_format
             if fmt is None:
-                fmt = scan.module_state_format
+                fmt = _int_constant(module.bindings, "STATE_FORMAT")
             inventory[dur.record.name] = {
-                "module": module,
+                "module": module.rel.as_posix(),
                 "keys": sorted(dur.captured),
                 "state_format": fmt,
             }
     return inventory
 
 
-def _load_golden(root: str,
+def _load_golden(root: pathlib.Path,
                  golden: Optional[str]) -> Tuple[Optional[dict],
                                                  Optional[str]]:
     if golden is not None:
         path = pathlib.Path(golden)
         candidates = [path]
     else:
-        candidates = [pathlib.Path(root).parent.parent / GOLDEN_INVENTORY,
+        candidates = [root.parent.parent / GOLDEN_INVENTORY,
                       GOLDEN_INVENTORY]
     for candidate in candidates:
         if candidate.is_file():
@@ -489,9 +424,9 @@ def _load_golden(root: str,
     return None, None
 
 
-def _golden_diags(root: str, golden_path: Optional[str],
+def _golden_diags(index: SourceIndex, golden_path: Optional[str],
                   golden: dict) -> List[Diagnostic]:
-    current = state_inventory(root)
+    current = state_inventory(index)
     diags: List[Diagnostic] = []
     for name in sorted(set(current) | set(golden)):
         if name not in golden:
@@ -538,29 +473,22 @@ def _golden_diags(root: str, golden_path: Optional[str],
     return diags
 
 
-def analyze_durability_tree(root: str,
+def analyze_durability_tree(root,
                             golden: Optional[str] = None
                             ) -> List[Diagnostic]:
     """Durability lint of every module under ``root`` plus the NYX062
     golden-inventory diff (skipped when no golden exists yet)."""
-    scans: List[_ModuleScan] = []
+    index = as_index(root)
     handled: Optional[Set[str]] = None
-    for path in _dur_tree_files(root):
-        scan = _ModuleScan(str(path), path.read_text(encoding="utf-8"))
-        scans.append(scan)
-        if scan.frame_kinds is not None:
-            handled = (handled or set()) | scan.frame_kinds
-    diags: List[Diagnostic] = []
-    for scan in scans:
-        if scan.parse_error is not None:
-            diags.append(scan.parse_error)
-            continue
-        for dur in scan.classes:
-            diags.extend(_class_diags(dur, scan.filename, scan.lines))
-        diags.extend(_append_diags(scan, handled))
-    golden_data, golden_path = _load_golden(root, golden)
+    for module in index.modules:
+        kinds = _frame_kind_registry(module.bindings)
+        if kinds is not None:
+            handled = (handled or set()) | kinds
+    diags = [diag for module in index.modules
+             for diag in _module_diags(module, handled)]
+    golden_data, golden_path = _load_golden(index.root, golden)
     if golden_data is not None:
-        diags.extend(_golden_diags(root, golden_path, golden_data))
+        diags.extend(_golden_diags(index, golden_path, golden_data))
     diags.sort(key=lambda d: (d.file or "", d.line or 0, d.code))
     return diags
 
@@ -569,19 +497,17 @@ def analyze_durability_tree(root: str,
 # fix-it stubs
 # ---------------------------------------------------------------------------
 
-def durability_fixit_stubs(root: str) -> Dict[str, str]:
+def durability_fixit_stubs(root) -> Dict[str, str]:
     """Capture/restore stubs for every NYX060 finding, keyed
     ``<path>::<Class>``.  Defaults referencing ``__init__`` arguments
     need hand-editing; attributes that are resume-ephemeral by design
     should get ``# nyx: state[ephemeral]`` instead."""
     stubs: Dict[str, str] = {}
-    for path in _dur_tree_files(root):
-        scan = _ModuleScan(str(path), path.read_text(encoding="utf-8"))
-        if scan.parse_error is not None:
+    for module in as_index(root).modules:
+        if module.tree is None:
             continue
-        for dur in scan.classes:
-            missing = [d for d in _class_diags(dur, scan.filename,
-                                               scan.lines)
+        for dur in filter(None, map(_dur_class, module.classes)):
+            missing = [d for d in _class_diags(dur, module)
                        if d.code == "NYX060"]
             if not missing or not dur.snapshots:
                 continue
@@ -600,5 +526,6 @@ def durability_fixit_stubs(root: str) -> Dict[str, str]:
             lines += ["    # add to %s.%s():" % (record.name, restore)]
             lines += ['        self.%s = state["%s"]  # default: %s'
                       % (a.name, a.name, _default_expr(a)) for a in attrs]
-            stubs["%s::%s" % (path, record.name)] = "\n".join(lines) + "\n"
+            stubs["%s::%s" % (module.filename, record.name)] = (
+                "\n".join(lines) + "\n")
     return stubs

@@ -12,7 +12,9 @@ The lint is *reachability-scoped*: ``# nyx: hot`` on a ``def`` line
 (or on a ``class`` line, marking every method) declares a hot root —
 the executor's step/reset path, the kernel's syscall dispatch,
 ``GuestMemory`` read/write, tracer callbacks, ``MutationEngine.mutate``.
-A call-graph BFS from those roots computes the hot set; rules fire
+A call-graph BFS from those roots, over every module of a
+:class:`~repro.analysis.source.SourceIndex` (whose class records supply
+the methods and their receivers), computes the hot set; rules fire
 only inside hot-reachable functions, so cold setup/reporting code
 stays unflagged no matter how it allocates.
 
@@ -50,18 +52,17 @@ suppression should carry a justification comment.
 from __future__ import annotations
 
 import ast
-import io
-import pathlib
-import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.diagnostics import MARKER_RES, Diagnostic, allow_tokens
-from repro.analysis.resetlint import _scan_class
+from repro.analysis.diagnostics import Diagnostic, suppressed
+from repro.analysis.source import (FUNCTION_DEFS, ClassRecord, SourceModule,
+                                   as_index, module_of_text)
 
 #: Family tokens accepted by ``# nyx: allow[...]``.
 FAMILY_TOKEN = "hot"
 FAMILY_ALIAS = "NYX07x"
+FAMILY = (FAMILY_TOKEN, FAMILY_ALIAS)
 #: RNG draw methods with a batched equivalent (``some_bytes``).
 RNG_DRAW_METHODS = {"randrange", "randint", "getrandbits"}
 #: Repeated-load threshold: the same attribute chain loaded this many
@@ -70,23 +71,8 @@ ATTR_LOAD_THRESHOLD = 3
 
 
 # ---------------------------------------------------------------------------
-# module indexing
+# call-graph nodes
 # ---------------------------------------------------------------------------
-
-def _marker_comment_lines(text: str) -> Set[int]:
-    """Lines whose actual comment (not a string literal) carries the
-    hot marker."""
-    lines: Set[int] = set()
-    hot_re = MARKER_RES["hot"]
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if (tok.type == tokenize.COMMENT
-                    and hot_re.search(tok.string)):
-                lines.add(tok.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass  # the AST parse reports the breakage
-    return lines
-
 
 @dataclass
 class FuncRecord:
@@ -110,6 +96,11 @@ class FuncRecord:
     @property
     def key(self) -> Tuple[str, str]:
         return (self.filename, self.qualname)
+
+    @property
+    def scope_lines(self) -> Tuple[int, int]:
+        """The ``def`` and ``class`` lines whose allows cover the body."""
+        return (self.node.lineno, self.class_line)
 
 
 class _CallScan(ast.NodeVisitor):
@@ -138,93 +129,34 @@ class _CallScan(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class ModuleIndex:
-    """Hot-lint view of one module: functions, roots, annotations."""
-
-    def __init__(self, filename: str, text: str, module: str) -> None:
-        self.filename = filename
-        self.module = module
-        self.lines = text.splitlines()
-        self.functions: List[FuncRecord] = []
-        #: class name -> known instance-attribute names (callable
-        #: attributes make a self-call resolvable-but-external).
-        self.class_attrs: Dict[str, Set[str]] = {}
-        self.parse_error: Optional[Diagnostic] = None
-        #: lines whose def/class statement may carry a hot marker.
-        self.def_lines: Set[int] = set()
-        #: lines carrying a genuine hot-marker *comment* (tokenized, so
-        #: docstrings discussing the marker do not count).
-        self.hot_marker_lines: Set[int] = _marker_comment_lines(text)
-        try:
-            tree = ast.parse(text, filename=filename)
-        except SyntaxError as err:
-            self.parse_error = Diagnostic(
-                "NYX075", "unparseable module: %s; hot-path reachability "
-                "cannot be computed" % err,
-                file=filename, line=err.lineno or 0)
-            return
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(node, None)
-            elif isinstance(node, ast.ClassDef):
-                self._add_class(node)
-
-    def _add_class(self, node: ast.ClassDef) -> None:
-        self.def_lines.add(node.lineno)
-        record = _scan_class(node, self.lines)
-        self.class_attrs[node.name] = set(record.attrs)
-        class_hot = node.lineno in self.hot_marker_lines
+def _functions(module: SourceModule) -> List[FuncRecord]:
+    """Call-graph nodes of one parsed module: its top-level functions
+    and the methods of its top-level classes."""
+    defs: List[Tuple[ast.AST, Optional[ClassRecord], str, bool]] = [
+        (node, None, "", False) for node in module.tree.body
+        if isinstance(node, FUNCTION_DEFS)]
+    for cls in module.classes:
         has_bases = any(not (isinstance(b, ast.Name) and b.id == "object")
-                        for b in node.bases)
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(stmt, node, class_hot=class_hot,
-                                   class_has_bases=has_bases)
-
-    def _add_function(self, node, class_node: Optional[ast.ClassDef],
-                      class_hot: bool = False,
-                      class_has_bases: bool = False) -> None:
-        self.def_lines.add(node.lineno)
-        args = node.args.posonlyargs + node.args.args
-        is_static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                        for d in node.decorator_list)
-        self_name = ""
-        if class_node is not None and args and not is_static:
-            self_name = args[0].arg
-        qualname = (node.name if class_node is None
-                    else "%s.%s" % (class_node.name, node.name))
-        record = FuncRecord(
-            filename=self.filename, module=self.module, qualname=qualname,
-            name=node.name, node=node,
-            class_name=class_node.name if class_node else None,
-            class_line=class_node.lineno if class_node else 0,
-            class_has_bases=class_has_bases,
-            self_name=self_name,
-            hot_root=class_hot or node.lineno in self.hot_marker_lines)
+                        for b in cls.node.bases)
+        defs += [(m.node, cls, "" if m.is_static else m.receiver, has_bases)
+                 for m in cls.methods]
+    funcs: List[FuncRecord] = []
+    for node, cls, self_name, has_bases in defs:
         scan = _CallScan(self_name)
         for inner in node.body:
             scan.visit(inner)
-        record.calls = scan.calls
-        self.functions.append(record)
-
-
-def _module_name(path: pathlib.Path, root: pathlib.Path) -> str:
-    """Dotted module name of ``path``, rooted at ``root``'s basename
-    (``src/repro/vm/memory.py`` -> ``repro.vm.memory``)."""
-    try:
-        rel = path.relative_to(root)
-    except ValueError:
-        rel = pathlib.Path(path.name)
-    parts = [root.name] + list(rel.parts)
-    parts[-1] = parts[-1][:-3] if parts[-1].endswith(".py") else parts[-1]
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def _tree_files(root: str) -> List[pathlib.Path]:
-    return [p for p in sorted(pathlib.Path(root).rglob("*.py"))
-            if "__pycache__" not in p.parts]
+        funcs.append(FuncRecord(
+            filename=module.filename, module=module.name,
+            qualname=node.name if cls is None else "%s.%s" % (cls.name,
+                                                              node.name),
+            name=node.name, node=node,
+            class_name=cls.name if cls else None,
+            class_line=cls.line if cls else 0,
+            class_has_bases=has_bases, self_name=self_name,
+            hot_root=(node.lineno in module.hot_lines
+                      or (cls is not None and cls.line in module.hot_lines)),
+            calls=scan.calls))
+    return funcs
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +164,10 @@ def _tree_files(root: str) -> List[pathlib.Path]:
 # ---------------------------------------------------------------------------
 
 class HotGraph:
-    """Cross-module call graph + hot-reachability over module indexes."""
+    """Cross-module call graph + hot-reachability over function records."""
 
-    def __init__(self, indexes: Sequence[ModuleIndex]) -> None:
-        self.indexes = list(indexes)
-        self.functions: List[FuncRecord] = []
-        for index in self.indexes:
-            self.functions.extend(index.functions)
-        self.by_key = {f.key: f for f in self.functions}
+    def __init__(self, functions: Sequence[FuncRecord]) -> None:
+        self.functions = list(functions)
         #: (filename, class, method) -> record
         self._methods: Dict[Tuple[str, str, str], FuncRecord] = {}
         #: (filename, name) -> module-level function record
@@ -384,16 +312,10 @@ class _HotRules:
         #: NYX072 alias candidates: chain -> (line, count) for fix-its.
         self.alias_candidates: Dict[str, Tuple[int, int]] = {}
 
-    def _tokens(self, lineno: int) -> Set[str]:
-        tokens = allow_tokens(self.lines, lineno)
-        tokens |= allow_tokens(self.lines, self.func.node.lineno)
-        if self.func.class_line:
-            tokens |= allow_tokens(self.lines, self.func.class_line)
-        return tokens
-
     def _flag(self, code: str, lineno: int, message: str,
               fixable: bool = False) -> None:
-        if self._tokens(lineno) & {code, FAMILY_TOKEN, FAMILY_ALIAS}:
+        if suppressed(self.lines, code, lineno, *self.func.scope_lines,
+                      family=FAMILY):
             return
         self.diags.append(Diagnostic(
             code, "%s: %s" % (self.func.qualname, message),
@@ -526,8 +448,8 @@ class _HotRules:
                        "'%s' is loaded %d times in one hot loop body; "
                        "bind a local alias before the loop"
                        % (dotted, total), fixable=True)
-            if not (self._tokens(line)
-                    & {"NYX072", FAMILY_TOKEN, FAMILY_ALIAS}):
+            if not suppressed(self.lines, "NYX072", line,
+                              *self.func.scope_lines, family=FAMILY):
                 self.alias_candidates.setdefault(dotted, (line, total))
 
     # -- NYX073 --------------------------------------------------------------
@@ -577,48 +499,48 @@ class _HotRules:
 # NYX075: annotation / resolution sanity
 # ---------------------------------------------------------------------------
 
-def _annotation_diags(index: ModuleIndex) -> List[Diagnostic]:
+def _annotation_diags(module: SourceModule,
+                      funcs: List[FuncRecord]) -> List[Diagnostic]:
+    def_lines = ({f.node.lineno for f in funcs}
+                 | {cls.line for cls in module.classes})
     diags: List[Diagnostic] = []
-    for lineno in sorted(index.hot_marker_lines):
-        if lineno in index.def_lines:
+    for lineno in sorted(module.hot_lines):
+        if lineno in def_lines:
             continue
-        if allow_tokens(index.lines, lineno) & {"NYX075", FAMILY_TOKEN,
-                                                FAMILY_ALIAS}:
+        if suppressed(module.lines, "NYX075", lineno, family=FAMILY):
             continue
         diags.append(Diagnostic(
             "NYX075",
             "'# nyx: hot' marker on a line that defines no function or "
             "class; it annotates nothing",
-            file=index.filename, line=lineno))
+            file=module.filename, line=lineno))
     return diags
 
 
-def _resolution_diags(index: ModuleIndex, graph: HotGraph
-                      ) -> List[Diagnostic]:
+def _resolution_diags(module: SourceModule, funcs: List[FuncRecord],
+                      graph: HotGraph) -> List[Diagnostic]:
+    class_attrs = {cls.name: set(cls.attrs) for cls in module.classes}
     diags: List[Diagnostic] = []
-    for func in index.functions:
+    for func in funcs:
         if not graph.is_hot(func) or not func.class_name:
             continue
         if func.class_has_bases:
             continue  # inherited methods are invisible; stay silent
-        methods = {f.name for f in index.functions
+        methods = {f.name for f in funcs
                    if f.class_name == func.class_name}
-        attrs = index.class_attrs.get(func.class_name, set())
+        attrs = class_attrs.get(func.class_name, set())
         for lineno, kind, name in func.calls:
             if kind != "self" or name in methods or name in attrs:
                 continue
-            tokens = allow_tokens(index.lines, lineno)
-            tokens |= allow_tokens(index.lines, func.node.lineno)
-            if func.class_line:
-                tokens |= allow_tokens(index.lines, func.class_line)
-            if tokens & {"NYX075", FAMILY_TOKEN, FAMILY_ALIAS}:
+            if suppressed(module.lines, "NYX075", lineno,
+                          *func.scope_lines, family=FAMILY):
                 continue
             diags.append(Diagnostic(
                 "NYX075",
                 "%s calls self.%s() but %s defines no such method or "
                 "attribute; the hot graph cannot follow this edge"
                 % (func.qualname, name, func.class_name),
-                file=index.filename, line=lineno))
+                file=module.filename, line=lineno))
     return diags
 
 
@@ -626,75 +548,69 @@ def _resolution_diags(index: ModuleIndex, graph: HotGraph
 # entry points
 # ---------------------------------------------------------------------------
 
-def _analyze_indexes(indexes: List[ModuleIndex]
-                     ) -> Tuple[List[Diagnostic], HotGraph]:
-    graph = HotGraph([i for i in indexes if i.parse_error is None])
-    diags: List[Diagnostic] = []
-    for index in indexes:
-        if index.parse_error is not None:
-            diags.append(index.parse_error)
-            continue
-        diags.extend(_annotation_diags(index))
-        diags.extend(_resolution_diags(index, graph))
-        for func in index.functions:
+def _hot_graph(modules: Sequence[SourceModule]
+               ) -> Tuple[List[Tuple[SourceModule, List[FuncRecord]]],
+                          HotGraph]:
+    """Function records of every parsed module, and their call graph."""
+    parsed = [(m, _functions(m)) for m in modules if m.tree is not None]
+    return parsed, HotGraph([f for _m, funcs in parsed for f in funcs])
+
+
+def _analyze(modules: Sequence[SourceModule]) -> List[Diagnostic]:
+    parsed, graph = _hot_graph(modules)
+    diags = [m.parse_failure("NYX075", "; hot-path reachability cannot "
+                             "be computed")
+             for m in modules if m.tree is None]
+    for module, funcs in parsed:
+        diags.extend(_annotation_diags(module, funcs))
+        diags.extend(_resolution_diags(module, funcs, graph))
+        for func in funcs:
             if graph.is_hot(func):
-                diags.extend(_HotRules(func, index.lines).run())
+                diags.extend(_HotRules(func, module.lines).run())
     diags.sort(key=lambda d: (d.file or "", d.line or 0, d.code))
-    return diags, graph
+    return diags
 
 
 def analyze_hot_source(filename: str, text: str,
                        module: str = "module") -> List[Diagnostic]:
     """Hot-path lint of one module in isolation."""
-    diags, _graph = _analyze_indexes([ModuleIndex(filename, text, module)])
-    return diags
+    return _analyze([module_of_text(filename, text, module)])
 
 
-def _tree_indexes(root: str) -> List[ModuleIndex]:
-    root_path = pathlib.Path(root)
-    return [ModuleIndex(str(path), path.read_text(encoding="utf-8"),
-                        _module_name(path, root_path))
-            for path in _tree_files(root)]
-
-
-def analyze_hot_tree(root: str) -> List[Diagnostic]:
+def analyze_hot_tree(root) -> List[Diagnostic]:
     """Hot-path lint of every module under ``root`` with cross-module
     call-edge resolution."""
-    diags, _graph = _analyze_indexes(_tree_indexes(root))
-    return diags
+    return _analyze(as_index(root).modules)
 
 
-def hot_sites(root: str) -> Dict[str, Set[str]]:
+def hot_sites(root) -> Dict[str, Set[str]]:
     """``{module: {qualnames}}`` of hot-reachable functions under
     ``root`` — the static coverage map the profiler's NYX077 check
     compares runtime cost ranks against."""
-    _diags, graph = _analyze_indexes(_tree_indexes(root))
+    _parsed, graph = _hot_graph(as_index(root).modules)
     return graph.hot_sites()
 
 
-def hot_fixit_stubs(root: str) -> Dict[str, str]:
+def hot_fixit_stubs(root) -> Dict[str, str]:
     """NYX072 local-alias stubs, keyed ``<path>::<qualname>``."""
     stubs: Dict[str, str] = {}
-    indexes = _tree_indexes(root)
-    graph = HotGraph([i for i in indexes if i.parse_error is None])
-    for index in indexes:
-        if index.parse_error is not None:
-            continue
-        for func in index.functions:
+    parsed, graph = _hot_graph(as_index(root).modules)
+    for module, funcs in parsed:
+        for func in funcs:
             if not graph.is_hot(func):
                 continue
-            rules = _HotRules(func, index.lines)
+            rules = _HotRules(func, module.lines)
             rules.run()
             if not rules.alias_candidates:
                 continue
             lines = ["    # hoist before the loop in %s (%s):"
-                     % (func.qualname, index.filename)]
+                     % (func.qualname, module.filename)]
             for dotted in sorted(rules.alias_candidates):
                 line, count = rules.alias_candidates[dotted]
                 alias = "_".join(p for p in dotted.split(".")
                                  if p not in ("self", "cls")) or "alias"
                 lines.append("        %s = %s  # line %d, %d loads/pass"
                              % (alias, dotted, line, count))
-            stubs["%s::%s" % (index.filename, func.qualname)] = (
+            stubs["%s::%s" % (module.filename, func.qualname)] = (
                 "\n".join(lines) + "\n")
     return stubs

@@ -11,9 +11,10 @@ mutate per-exec must be re-initialised by a reset method on the
 executor's reset path, or coverage feedback silently corrupts the way
 SnapFuzz/StateAFL describe.
 
-This pass walks the AST of ``vm/``, ``guestos/``, ``emu/`` and
-``faults/`` and builds a registry of mutable state, classifying each
-record as *covered* or *leaking*:
+This pass reads the per-class mutable-state records that a
+:class:`~repro.analysis.source.SourceIndex` builds for ``vm/``,
+``guestos/``, ``emu/`` and ``faults/``, classifying each attribute as
+*covered* or *leaking*:
 
 * **covered** — the attribute is (re)assigned in a reset-family method
   (name starts with ``reset``/``restore``/``reload``, or is the device
@@ -44,53 +45,21 @@ the backstop for that.
 from __future__ import annotations
 
 import ast
-import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, allow_tokens, has_marker
+from repro.analysis.diagnostics import (Diagnostic, allow_tokens, has_marker,
+                                        suppressed)
+from repro.analysis.source import (MUTATING_METHODS, AttrRecord, ClassRecord,
+                                   SourceModule, as_index, is_mutable_value,
+                                   module_of_text)
 
 #: Packages (relative to the scanned root) that hold snapshot-covered
 #: machinery and its host-side drivers.
 SCAN_DIRS = ("vm", "guestos", "emu", "faults")
-#: Method-name prefixes that put an assignment on the reset path.
-RESET_PREFIXES = ("reset", "restore", "reload")
-#: Exact method names that are also reset-family (device protocol).
-RESET_NAMES = {"load_fields"}
-#: Snapshot-restore hook names (NYX044).
-RESTORE_HOOKS = {"on_root_restore", "on_incremental_restore"}
-#: Container method calls that mutate the receiver in place.
-MUTATING_METHODS = {
-    "append", "appendleft", "add", "clear", "discard", "extend",
-    "extendleft", "insert", "pop", "popleft", "popitem", "remove",
-    "setdefault", "sort", "update",
-}
-#: Constructor names whose result is a mutable container.
-MUTABLE_CONSTRUCTORS = {"dict", "list", "set", "bytearray", "deque",
-                        "defaultdict", "OrderedDict", "Counter"}
 
 #: Family token accepted by ``# nyx: allow[...]`` alongside rule codes.
 FAMILY_TOKEN = "reset"
-
-# Annotation parsing lives in diagnostics (shared by every source
-# lint); these aliases keep this module's historical import surface —
-# durlint and the fix-it machinery import them from here.
-_allow_tokens = allow_tokens
-
-
-def _memory_marked(lines: Sequence[str], lineno: int) -> bool:
-    return has_marker(lines, lineno, "state[memory]")
-
-
-def _is_reset_family(name: str) -> bool:
-    return name in RESET_NAMES or name.lstrip("_").startswith(RESET_PREFIXES)
-
-
-def _is_staticmethod(node) -> bool:
-    """A ``@staticmethod``'s first parameter is not ``self``; scanning
-    it would misattribute parameter mutations to the class."""
-    return any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
-               for dec in node.decorator_list)
+FAMILY = (FAMILY_TOKEN,)
 
 
 def _is_dunder(name: str) -> bool:
@@ -98,255 +67,22 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _is_mutable_value(expr: ast.AST) -> bool:
-    """Does this expression build a mutable container?"""
-    if isinstance(expr, (ast.Dict, ast.List, ast.Set, ast.ListComp,
-                         ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        return name in MUTABLE_CONSTRUCTORS
-    return False
+def _global_mutations(tree: ast.Module, tracked: Set[str]
+                      ) -> List[Tuple[int, str]]:
+    """``(line, name)`` mutation events on the module-level names
+    ``tracked``, outside the function scopes that shadow them."""
+    found: List[Tuple[int, str]] = []
 
+    def visit(node: ast.AST, shadowed: Set[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            shadowed = shadowed | _locally_bound(node)
+        found.extend(_name_mutations(node, tracked - shadowed))
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
 
-def _self_attr_base(expr: ast.AST, self_name: str) -> Optional[str]:
-    """Container attribute of a subscript-only ``self.X[...]...``
-    chain, else ``None``.
-
-    ``self.conns[k]`` and ``self.grid[i][j]`` root at ``conns`` /
-    ``grid`` — mutating the subscript mutates the container bound to
-    ``self``.  ``self.kernel.field`` does **not** root at ``kernel``:
-    that mutates the *other* object, which carries its own class audit
-    (attribute hops cross an ownership boundary, subscripts don't).
-    """
-    node = expr
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    direct = _is_direct_self_attr(node, self_name)
-    return direct if node is not expr else None
-
-
-def _is_direct_self_attr(expr: ast.AST, self_name: str) -> Optional[str]:
-    if (isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == self_name):
-        return expr.attr
-    return None
-
-
-@dataclass
-class AttrRecord:
-    """One instance attribute of one class."""
-
-    name: str
-    #: Line of the ``__init__`` / class-body definition (0 = dynamic).
-    defined_line: int = 0
-    #: The ``__init__`` default, for fix-it stub generation.
-    init_value: Optional[ast.AST] = None
-    #: ``(line, method)`` of every write/mutation outside init+reset.
-    mutations: List[Tuple[int, str]] = field(default_factory=list)
-    #: Assigned or mutated inside a reset-family method.
-    reset: bool = False
-
-    @property
-    def anchor_line(self) -> int:
-        if self.defined_line:
-            return self.defined_line
-        return self.mutations[0][0] if self.mutations else 0
-
-
-@dataclass
-class ClassRecord:
-    """Mutable-state registry for one class."""
-
-    name: str
-    line: int
-    memory_marked: bool = False
-    allow_tokens: Set[str] = field(default_factory=set)
-    reset_methods: List[str] = field(default_factory=list)
-    restore_hooks: List[str] = field(default_factory=list)
-    attrs: Dict[str, AttrRecord] = field(default_factory=dict)
-    #: ``(line, name)`` of class-level mutable container assignments.
-    class_containers: List[Tuple[int, str]] = field(default_factory=list)
-
-    def attr(self, name: str) -> AttrRecord:
-        if name not in self.attrs:
-            self.attrs[name] = AttrRecord(name)
-        return self.attrs[name]
-
-    def leaking_attrs(self) -> List[AttrRecord]:
-        return [self.attrs[n] for n in sorted(self.attrs)
-                if self.attrs[n].mutations and not self.attrs[n].reset]
-
-
-class _MethodScan(ast.NodeVisitor):
-    """Collect self-attribute writes and in-place mutations."""
-
-    def __init__(self, self_name: str) -> None:
-        self.self_name = self_name
-        #: ``(line, attr)`` direct rebinding: ``self.x = ...``
-        self.writes: List[Tuple[int, str, ast.AST]] = []
-        #: ``(line, attr)`` in-place change: ``self.x[k] = / .append()``
-        self.mutations: List[Tuple[int, str]] = []
-
-    def _target(self, target: ast.AST, value: ast.AST) -> None:
-        direct = _is_direct_self_attr(target, self.self_name)
-        if direct is not None:
-            self.writes.append((target.lineno, direct, value))
-            return
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._target(elt, value)
-            return
-        base = _self_attr_base(target, self.self_name)
-        if base is not None:
-            self.mutations.append((target.lineno, base))
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._target(target, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._target(node.target, node.value)
-        self.generic_visit(node)
-
-    def _mutated(self, expr: ast.AST) -> Optional[str]:
-        direct = _is_direct_self_attr(expr, self.self_name)
-        if direct is not None:
-            return direct
-        return _self_attr_base(expr, self.self_name)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        base = self._mutated(node.target)
-        if base is not None:
-            self.mutations.append((node.target.lineno, base))
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            base = self._mutated(target)
-            if base is not None:
-                self.mutations.append((target.lineno, base))
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
-            base = self._mutated(func.value)
-            if base is not None:
-                self.mutations.append((node.lineno, base))
-        self.generic_visit(node)
-
-
-def _scan_class(node: ast.ClassDef, lines: Sequence[str]) -> ClassRecord:
-    record = ClassRecord(node.name, node.lineno,
-                         memory_marked=_memory_marked(lines, node.lineno),
-                         allow_tokens=_allow_tokens(lines, node.lineno))
-    for stmt in node.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if (isinstance(target, ast.Name)
-                        and _is_mutable_value(stmt.value)):
-                    record.class_containers.append(
-                        (stmt.lineno, target.id))
-        elif isinstance(stmt, ast.AnnAssign):
-            # Annotated class-body fields are dataclass field specs:
-            # per-instance defaults, not shared containers.  They still
-            # define the attribute for coverage accounting.
-            if isinstance(stmt.target, ast.Name):
-                attr = record.attr(stmt.target.id)
-                if not attr.defined_line:
-                    attr.defined_line = stmt.lineno
-                    attr.init_value = stmt.value
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = stmt.args.posonlyargs + stmt.args.args
-            if not args or _is_staticmethod(stmt):
-                continue  # staticmethod: no instance state access
-            scan = _MethodScan(args[0].arg)
-            for inner in stmt.body:
-                scan.visit(inner)
-            if stmt.name in RESTORE_HOOKS:
-                record.restore_hooks.append(stmt.name)
-            if stmt.name == "__init__":
-                for line, name, value in scan.writes:
-                    attr = record.attr(name)
-                    if not attr.defined_line:
-                        attr.defined_line = line
-                        attr.init_value = value
-            elif _is_reset_family(stmt.name):
-                record.reset_methods.append(stmt.name)
-                for line, name, value in scan.writes:
-                    attr = record.attr(name)
-                    attr.reset = True
-                    if not attr.defined_line:
-                        attr.defined_line = line
-                for line, name in scan.mutations:
-                    record.attr(name).reset = True
-            else:
-                for line, name, _value in scan.writes:
-                    record.attr(name).mutations.append((line, stmt.name))
-                for line, name in scan.mutations:
-                    record.attr(name).mutations.append((line, stmt.name))
-    for attr in record.attrs.values():
-        attr.mutations.sort()
-    return record
-
-
-class _ModuleScan:
-    """Everything the lint learned about one module."""
-
-    def __init__(self, filename: str, text: str) -> None:
-        self.filename = filename
-        self.lines = text.splitlines()
-        self.classes: List[ClassRecord] = []
-        #: name -> definition line of module-level mutable containers.
-        self.globals: Dict[str, int] = {}
-        #: ``(line, name)`` mutation events on module-level names.
-        self.global_mutations: List[Tuple[int, str]] = []
-        self.parse_error: Optional[Diagnostic] = None
-        try:
-            tree = ast.parse(text, filename=filename)
-        except SyntaxError as err:
-            self.parse_error = Diagnostic(
-                "NYX045", "unparseable module: %s" % err,
-                file=filename, line=err.lineno or 0)
-            return
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                self.classes.append(_scan_class(node, self.lines))
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (isinstance(target, ast.Name)
-                            and not _is_dunder(target.id)
-                            and _is_mutable_value(node.value)):
-                        self.globals[target.id] = node.lineno
-            elif isinstance(node, ast.AnnAssign):
-                if (isinstance(node.target, ast.Name)
-                        and not _is_dunder(node.target.id)
-                        and node.value is not None
-                        and _is_mutable_value(node.value)):
-                    self.globals[node.target.id] = node.lineno
-        if self.globals:
-            self._find_global_mutations(tree)
-
-    def _find_global_mutations(self, tree: ast.Module) -> None:
-        tracked = set(self.globals)
-
-        def visit(node: ast.AST, shadowed: Set[str]) -> None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                shadowed = shadowed | _locally_bound(node)
-            for line, name in _name_mutations(node, tracked - shadowed):
-                self.global_mutations.append((line, name))
-            for child in ast.iter_child_nodes(node):
-                visit(child, shadowed)
-
-        for stmt in tree.body:
-            visit(stmt, set())
-        self.global_mutations.sort()
+    for stmt in tree.body:
+        visit(stmt, set())
+    return sorted(found)
 
 
 def _locally_bound(node) -> Set[str]:
@@ -417,24 +153,20 @@ def _name_mutations(node: ast.AST, names: Set[str]):
                 yield node.lineno, name
 
 
-def _suppressed(record: ClassRecord, lines: Sequence[str], lineno: int,
-                code: str) -> bool:
-    tokens = _allow_tokens(lines, lineno) | record.allow_tokens
-    return FAMILY_TOKEN in tokens or code in tokens
-
-
-def _class_diags(record: ClassRecord, filename: str,
-                 lines: Sequence[str]) -> List[Diagnostic]:
+def _class_diags(record: ClassRecord,
+                 module: SourceModule) -> List[Diagnostic]:
+    filename, lines = module.filename, module.lines
     diags: List[Diagnostic] = []
     for line, name in record.class_containers:
-        if _suppressed(record, lines, line, "NYX042"):
+        if suppressed(lines, "NYX042", line, record.line, family=FAMILY):
             continue
         diags.append(Diagnostic(
             "NYX042",
             "%s.%s is a class-level mutable container: shared across "
             "instances and untouched by any snapshot reset"
             % (record.name, name), file=filename, line=line))
-    if FAMILY_TOKEN in record.allow_tokens or record.memory_marked:
+    if (suppressed(lines, FAMILY_TOKEN, record.line)
+            or has_marker(lines, record.line, "state[memory]")):
         return diags
     for attr in record.leaking_attrs():
         mut_line, mut_method = attr.mutations[0]
@@ -460,61 +192,56 @@ def _class_diags(record: ClassRecord, filename: str,
                        % (record.name, attr.name, where))
             fixable = True
         anchor = attr.anchor_line or record.line
-        if _suppressed(record, lines, anchor, code):
+        if suppressed(lines, code, anchor, record.line, family=FAMILY):
             continue
         diags.append(Diagnostic(code, message, file=filename, line=anchor,
                                 fixable=fixable))
     return diags
 
 
-def analyze_reset_source(filename: str, text: str) -> List[Diagnostic]:
-    """Reset-safety lint of one module's source."""
-    scan = _ModuleScan(filename, text)
-    if scan.parse_error is not None:
-        return [scan.parse_error]
+def _module_diags(module: SourceModule) -> List[Diagnostic]:
+    if module.tree is None:
+        return [module.parse_failure("NYX045")]
+    lines = module.lines
+    # name -> definition line of module-level mutable containers.
+    globals_ = {b.name: b.line for b in module.bindings
+                if not _is_dunder(b.name) and b.value is not None
+                and is_mutable_value(b.value)}
+    mutations = (_global_mutations(module.tree, set(globals_))
+                 if globals_ else [])
+    mutated_globals = {name for _line, name in mutations}
     diags: List[Diagnostic] = []
-    mutated_globals = {name for _line, name in scan.global_mutations}
-    for name in sorted(scan.globals):
-        line = scan.globals[name]
+    for name in sorted(globals_):
+        line = globals_[name]
         if name.isupper() and name not in mutated_globals:
             continue  # unmutated ALL_CAPS container: a constant
-        if FAMILY_TOKEN in _allow_tokens(scan.lines, line) \
-                or "NYX041" in _allow_tokens(scan.lines, line):
+        if suppressed(lines, "NYX041", line, family=FAMILY):
             continue
         detail = ("mutated at line %d"
-                  % min(l for l, n in scan.global_mutations if n == name)
+                  % min(l for l, n in mutations if n == name)
                   if name in mutated_globals else "a module-global cache")
         diags.append(Diagnostic(
             "NYX041",
             "module-global mutable container %r (%s) survives every "
-            "snapshot reset" % (name, detail), file=filename, line=line))
-    for record in scan.classes:
-        diags.extend(_class_diags(record, filename, scan.lines))
+            "snapshot reset" % (name, detail), file=module.filename,
+            line=line))
+    for record in module.classes:
+        diags.extend(_class_diags(record, module))
     diags.sort(key=lambda d: (d.line or 0, d.code))
     return diags
 
 
-def _tree_files(root: str) -> List[pathlib.Path]:
-    root_path = pathlib.Path(root)
-    dirs = [root_path / d for d in SCAN_DIRS if (root_path / d).is_dir()]
-    if not dirs:
-        dirs = [root_path]
-    files: List[pathlib.Path] = []
-    for base in dirs:
-        files.extend(p for p in sorted(base.rglob("*.py"))
-                     if "__pycache__" not in p.parts)
-    return files
+def analyze_reset_source(filename: str, text: str) -> List[Diagnostic]:
+    """Reset-safety lint of one module's source."""
+    return _module_diags(module_of_text(filename, text))
 
 
-def analyze_reset_tree(root: str) -> List[Diagnostic]:
+def analyze_reset_tree(root) -> List[Diagnostic]:
     """Lint ``vm/``, ``guestos/``, ``emu/`` and ``faults/`` under
     ``root`` (or, for fixture trees without those packages, every
     ``.py`` file under ``root``)."""
-    diags: List[Diagnostic] = []
-    for path in _tree_files(root):
-        diags.extend(analyze_reset_source(
-            str(path), path.read_text(encoding="utf-8")))
-    return diags
+    return [diag for module in as_index(root).within(SCAN_DIRS)
+            for diag in _module_diags(module)]
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +257,12 @@ def _default_expr(attr: AttrRecord) -> str:
         return "...  # TODO: unprintable default"
 
 
-def fixit_stubs(filename: str, text: str) -> Dict[str, str]:
-    """Reset-assignment stubs for every leaking class, keyed by class.
-
-    For a class that already has a reset method the stub lists the
-    assignments to add to it; otherwise it is a complete
-    ``reset_for_test`` method re-applying the ``__init__`` defaults.
-    Defaults referencing ``__init__`` arguments need hand-editing.
-    """
-    scan = _ModuleScan(filename, text)
-    if scan.parse_error is not None:
+def _module_stubs(module: SourceModule) -> Dict[str, str]:
+    if module.tree is None:
         return {}
     stubs: Dict[str, str] = {}
-    for record in scan.classes:
-        diags = _class_diags(record, filename, scan.lines)
+    for record in module.classes:
+        diags = _class_diags(record, module)
         leaking = {d.line for d in diags
                    if d.code in ("NYX040", "NYX043", "NYX044")}
         attrs = [a for a in record.leaking_attrs()
@@ -563,14 +282,24 @@ def fixit_stubs(filename: str, text: str) -> Dict[str, str]:
     return stubs
 
 
-def tree_fixit_stubs(root: str) -> Dict[str, str]:
+def fixit_stubs(filename: str, text: str) -> Dict[str, str]:
+    """Reset-assignment stubs for every leaking class, keyed by class.
+
+    For a class that already has a reset method the stub lists the
+    assignments to add to it; otherwise it is a complete
+    ``reset_for_test`` method re-applying the ``__init__`` defaults.
+    Defaults referencing ``__init__`` arguments need hand-editing.
+    """
+    return _module_stubs(module_of_text(filename, text))
+
+
+def tree_fixit_stubs(root) -> Dict[str, str]:
     """Fix-it stubs for every leaking class under ``root``, keyed
     ``<path>::<Class>``."""
     stubs: Dict[str, str] = {}
-    for path in _tree_files(root):
-        for cls, stub in sorted(fixit_stubs(
-                str(path), path.read_text(encoding="utf-8")).items()):
-            stubs["%s::%s" % (path, cls)] = stub
+    for module in as_index(root).within(SCAN_DIRS):
+        for cls, stub in sorted(_module_stubs(module).items()):
+            stubs["%s::%s" % (module.filename, cls)] = stub
     return stubs
 
 
@@ -578,7 +307,7 @@ def tree_fixit_stubs(root: str) -> Dict[str, str]:
 # shared registry for the runtime sanitizer
 # ---------------------------------------------------------------------------
 
-def allowed_reset_attrs(root: str) -> Set[Tuple[str, str]]:
+def allowed_reset_attrs(root) -> Set[Tuple[str, str]]:
     """``(class, attr)`` pairs suppressed with ``# nyx: allow[...]``.
 
     The runtime sanitizer skips exactly these when digesting the
@@ -586,15 +315,12 @@ def allowed_reset_attrs(root: str) -> Set[Tuple[str, str]]:
     one registry.  A class-line allow yields ``(Class, "*")``.
     """
     allowed: Set[Tuple[str, str]] = set()
-    for path in _tree_files(root):
-        scan = _ModuleScan(str(path), path.read_text(encoding="utf-8"))
-        if scan.parse_error is not None:
-            continue
-        for record in scan.classes:
-            if record.allow_tokens:
+    for module in as_index(root).within(SCAN_DIRS):
+        for record in module.classes:
+            if allow_tokens(module.lines, record.line):
                 allowed.add((record.name, "*"))
             for attr in record.attrs.values():
                 anchor = attr.anchor_line
-                if anchor and _allow_tokens(scan.lines, anchor):
+                if anchor and allow_tokens(module.lines, anchor):
                     allowed.add((record.name, attr.name))
     return allowed

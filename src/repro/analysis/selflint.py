@@ -11,7 +11,8 @@ and one stray import can break:
   the exact fault stream, which dies the moment wall-clock time or OS
   entropy leaks into a decision.
 
-This pass walks the AST of every module outside ``sim/`` (the one
+This pass walks the AST of every module of a
+:class:`~repro.analysis.source.SourceIndex` outside ``sim/`` (the one
 place allowed to wrap host randomness) and flags wall-clock access
 (NYX020), ``random``/``secrets`` (NYX021), OS entropy (NYX022) and
 iteration over unordered sets (NYX023).
@@ -23,10 +24,10 @@ Grandfathered or deliberately-exempt uses are suppressed inline with
 from __future__ import annotations
 
 import ast
-import pathlib
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.analysis.diagnostics import Diagnostic, allow_tokens
+from repro.analysis.diagnostics import Diagnostic, suppressed
+from repro.analysis.source import SourceModule, as_index, module_of_text
 
 #: (object, attribute) call patterns that read the wall clock.
 WALL_CLOCK_ATTRS = {
@@ -46,11 +47,7 @@ ENTROPY_ATTRS = {("os", "urandom"), ("uuid", "uuid1"), ("uuid", "uuid4")}
 #: Modules whose import is forbidden outright, with their rule code.
 FORBIDDEN_MODULES = {"random": "NYX021", "secrets": "NYX022"}
 #: Directories (relative to the scanned root) exempt from the lint.
-EXEMPT_DIRS = {"sim", "__pycache__"}
-
-def _suppressed(lines: Sequence[str], lineno: int, code: str) -> bool:
-    return code in allow_tokens(lines, lineno)
-
+EXEMPT_DIRS = {"sim"}
 
 def _is_unordered(expr: ast.AST) -> bool:
     """Does this expression evaluate to a bare (unordered) set?"""
@@ -66,14 +63,14 @@ def _is_unordered(expr: ast.AST) -> bool:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, filename: str, lines: Sequence[str]) -> None:
-        self.filename = filename
-        self.lines = lines
+    def __init__(self, module: SourceModule) -> None:
+        self.filename = module.filename
+        self.lines = module.lines
         self.diags: List[Diagnostic] = []
 
     def _flag(self, code: str, node: ast.AST, message: str) -> None:
         lineno = getattr(node, "lineno", 0)
-        if _suppressed(self.lines, lineno, code):
+        if suppressed(self.lines, code, lineno):
             return
         self.diags.append(Diagnostic(code, message, file=self.filename,
                                      line=lineno))
@@ -149,27 +146,21 @@ class _Visitor(ast.NodeVisitor):
     visit_GeneratorExp = _check_comprehension
 
 
-def analyze_source(filename: str, text: str) -> List[Diagnostic]:
-    """Lint one module's source; returns diagnostics."""
-    try:
-        tree = ast.parse(text, filename=filename)
-    except SyntaxError as err:
-        return [Diagnostic("NYX024", "unparseable module: %s" % err,
-                           file=filename, line=err.lineno or 0)]
-    visitor = _Visitor(filename, text.splitlines())
-    visitor.visit(tree)
+def _module_diags(module: SourceModule) -> List[Diagnostic]:
+    if module.tree is None:
+        return [module.parse_failure("NYX024")]
+    visitor = _Visitor(module)
+    visitor.visit(module.tree)
     visitor.diags.sort(key=lambda d: (d.line or 0, d.code))
     return visitor.diags
 
 
-def analyze_source_tree(root: str) -> List[Diagnostic]:
+def analyze_source(filename: str, text: str) -> List[Diagnostic]:
+    """Lint one module's source; returns diagnostics."""
+    return _module_diags(module_of_text(filename, text))
+
+
+def analyze_source_tree(root) -> List[Diagnostic]:
     """Lint every ``.py`` file under ``root`` except ``sim/``."""
-    root_path = pathlib.Path(root)
-    diags: List[Diagnostic] = []
-    for path in sorted(root_path.rglob("*.py")):
-        rel = path.relative_to(root_path)
-        if EXEMPT_DIRS.intersection(rel.parts[:-1]):
-            continue
-        text = path.read_text(encoding="utf-8")
-        diags.extend(analyze_source(str(path), text))
-    return diags
+    return [diag for module in as_index(root).outside(EXEMPT_DIRS)
+            for diag in _module_diags(module)]

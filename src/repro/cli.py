@@ -32,8 +32,25 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 from typing import List, Optional
+
+import repro
+
+#: The ``repro`` package directory: the default source tree of every
+#: ``analyze`` lint and of ``profile``'s static cross-check, whatever
+#: the working directory.
+PACKAGE_DIR = pathlib.Path(repro.__file__).parent
+
+
+def _package_root() -> str:
+    """:data:`PACKAGE_DIR`, relative to the working directory when it
+    lies below it (so reports from a checkout name ``src/repro/...``)."""
+    try:
+        return str(PACKAGE_DIR.relative_to(pathlib.Path.cwd()))
+    except ValueError:
+        return str(PACKAGE_DIR)
 
 
 def _cmd_targets(args: argparse.Namespace) -> int:
@@ -527,66 +544,54 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import os
 
+    from repro.analysis import durlint, hotlint, resetlint, selflint
     from repro.analysis.diagnostics import Report
+    from repro.analysis.source import SourceIndex
     from repro.spec.nodes import default_network_spec
+    # (root option, lint, fix-it stub builder) per source family, in
+    # report order; the option's dest doubles as the report meta key.
+    families = [
+        ("self_root", selflint.analyze_source_tree, None),
+        ("reset_root", resetlint.analyze_reset_tree,
+         resetlint.tree_fixit_stubs),
+        ("durability_root", durlint.analyze_durability_tree,
+         durlint.durability_fixit_stubs),
+        ("perf_root", hotlint.analyze_hot_tree, hotlint.hot_fixit_stubs),
+    ]
+    roots = {key: getattr(args, key) for key, _lint, _stubs in families}
     run_spec = args.spec
-    self_root = args.self_root
-    reset_root = args.reset_root
-    durability_root = args.durability_root
-    perf_root = args.perf_root
     run_corpus = args.corpus is not None
     run_sanitize = args.sanitize is not None
-    if not (run_spec or self_root or run_corpus or reset_root
-            or run_sanitize or durability_root or perf_root):
+    if not (run_spec or run_corpus or run_sanitize or any(roots.values())):
         # Bare `repro analyze`: the checks that need no inputs.
         run_spec = True
-        self_root = "src/repro"
-        reset_root = "src/repro"
-        durability_root = "src/repro"
-        perf_root = "src/repro"
-    for root in (self_root, reset_root, durability_root, perf_root):
+        roots = dict.fromkeys(roots, _package_root())
+    for root in roots.values():
         if root and not os.path.isdir(root):
             print("not a directory: %s" % root, file=sys.stderr)
             return 2
-    if args.fix and not (run_corpus or reset_root or durability_root
-                         or perf_root):
+    if args.fix and not (run_corpus or any(
+            roots[key] for key, _lint, stubs in families if stubs)):
         print("note: --fix only applies to --corpus, --reset, "
               "--durability and --perf", file=sys.stderr)
+    # One index per distinct root: each module is parsed once, however
+    # many source families lint it.
+    indexes = {root: SourceIndex(root)
+               for root in dict.fromkeys(roots.values()) if root}
     spec = default_network_spec()
     report = Report()
     if run_spec:
         from repro.analysis.speclint import analyze_spec
         report.extend(analyze_spec(spec))
         report.meta["spec"] = spec.name
-    if self_root:
-        from repro.analysis.selflint import analyze_source_tree
-        report.extend(analyze_source_tree(self_root))
-        report.meta["self_root"] = self_root
-    if reset_root:
-        from repro.analysis.resetlint import (analyze_reset_tree,
-                                              tree_fixit_stubs)
-        report.extend(analyze_reset_tree(reset_root))
-        report.meta["reset_root"] = reset_root
-        if args.fix:
-            for where, stub in sorted(tree_fixit_stubs(reset_root).items()):
-                print("--- fix-it for %s ---" % where)
-                print(stub)
-    if durability_root:
-        from repro.analysis.durlint import (analyze_durability_tree,
-                                            durability_fixit_stubs)
-        report.extend(analyze_durability_tree(durability_root))
-        report.meta["durability_root"] = durability_root
-        if args.fix:
-            for where, stub in sorted(
-                    durability_fixit_stubs(durability_root).items()):
-                print("--- fix-it for %s ---" % where)
-                print(stub)
-    if perf_root:
-        from repro.analysis.hotlint import analyze_hot_tree, hot_fixit_stubs
-        report.extend(analyze_hot_tree(perf_root))
-        report.meta["perf_root"] = perf_root
-        if args.fix:
-            for where, stub in sorted(hot_fixit_stubs(perf_root).items()):
+    for key, lint, stubs in families:
+        root = roots[key]
+        if not root:
+            continue
+        report.extend(lint(indexes[root]))
+        report.meta[key] = root
+        if args.fix and stubs:
+            for where, stub in sorted(stubs(indexes[root]).items()):
                 print("--- fix-it for %s ---" % where)
                 print(stub)
     if run_corpus:
@@ -697,6 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nyx-Net reproduction: snapshot fuzzing on a "
                     "simulated VM")
     sub = parser.add_subparsers(dest="command", required=True)
+    package = _package_root()
 
     sub.add_parser("targets", help="list fuzz targets")
 
@@ -856,9 +862,9 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--pct", type=float, default=25.0, metavar="PCT",
                       help="NYX076 per-site budget drift tolerance "
                            "(default: 25)")
-    prof.add_argument("--root", default="src/repro",
+    prof.add_argument("--root", default=package,
                       help="source tree for the NYX077 static "
-                           "cross-check (default: src/repro)")
+                           "cross-check (default: the repro package)")
     prof.add_argument("--json", metavar="PATH",
                       help="write the merged JSON report here")
 
@@ -870,32 +876,33 @@ def build_parser() -> argparse.ArgumentParser:
                          help="audit a persisted corpus directory "
                               "(NYX01x/NYX03x)")
     analyze.add_argument("--self", dest="self_root", nargs="?",
-                         const="src/repro", default=None, metavar="PATH",
+                         const=package, default=None, metavar="PATH",
                          help="determinism self-lint over a source tree "
-                              "(NYX02x; default PATH: src/repro)")
+                              "(NYX02x; default PATH: the repro package)")
     analyze.add_argument("--reset", dest="reset_root", nargs="?",
-                         const="src/repro", default=None, metavar="PATH",
+                         const=package, default=None, metavar="PATH",
                          help="reset-safety lint over a source tree "
-                              "(NYX04x; default PATH: src/repro)")
+                              "(NYX04x; default PATH: the repro package)")
     analyze.add_argument("--sanitize", nargs="?", const="lighttpd",
                          default=None, metavar="TARGET",
                          help="run a short seeded campaign with the "
                               "runtime reset sanitizer armed (NYX05x; "
                               "default TARGET: lighttpd)")
     analyze.add_argument("--durability", dest="durability_root", nargs="?",
-                         const="src/repro", default=None, metavar="PATH",
+                         const=package, default=None, metavar="PATH",
                          help="durability lint over a source tree: "
                               "snapshot/restore completeness, capture-set "
                               "drift vs the state-inventory golden, journal "
                               "frame registration (NYX06x; default PATH: "
-                              "src/repro)")
+                              "the repro package)")
     analyze.add_argument("--perf", dest="perf_root", nargs="?",
-                         const="src/repro", default=None, metavar="PATH",
+                         const=package, default=None, metavar="PATH",
                          help="hot-path lint over a source tree: per-"
                               "iteration allocation, unbatched RNG draws, "
                               "repeated attribute loads, redundant copies "
                               "and indirection on '# nyx: hot'-reachable "
-                              "code (NYX07x; default PATH: src/repro)")
+                              "code (NYX07x; default PATH: the repro "
+                              "package)")
     analyze.add_argument("--fix", action="store_true",
                          help="rewrite repairable --corpus entries in "
                               "place; with --reset, --durability or "

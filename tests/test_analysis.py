@@ -7,9 +7,14 @@ Golden files under ``tests/golden/`` pin the exact rendered output per
 rule family so message or severity drift is a reviewed change.
 """
 
+import ast
+import collections
 import json
+import os
 import pathlib
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -386,6 +391,59 @@ class TestCli:
         assert cli_main(["analyze"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
+
+    def test_bare_analyze_runs_from_any_directory(self, tmp_path):
+        # The default lint roots are the repro package directory, not a
+        # cwd-relative src/repro.
+        env = dict(os.environ, PYTHONPATH=str(REPO_SRC.parent))
+        done = subprocess.run([sys.executable, "-m", "repro", "analyze"],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert "0 error(s)" in done.stdout
+
+    def test_bare_analyze_parses_each_file_once(self, monkeypatch, capsys):
+        # Four source families share one index: every module under the
+        # package is parsed exactly once per run.
+        parsed = collections.Counter()
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed[pathlib.Path(filename).resolve()] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert cli_main(["analyze"]) == 0
+        capsys.readouterr()
+        files = [p.resolve() for p in REPO_SRC.rglob("*.py")
+                 if "__pycache__" not in p.parts]
+        assert parsed == collections.Counter(files)
+
+    def test_broken_module_is_one_finding_per_family(self, tmp_path,
+                                                     monkeypatch, capsys):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "ok.py").write_text("X = 1\n")
+        broken = "def broken(:\n    pass\n"
+        (tree / "bad.py").write_text(broken)
+        with pytest.raises(SyntaxError) as err:
+            ast.parse(broken, filename=str(tree / "bad.py"))
+        monkeypatch.chdir(tmp_path)  # no state-inventory golden in sight
+        root, report = str(tree), tmp_path / "report.json"
+        assert cli_main(["analyze", "--self", root, "--reset", root,
+                         "--durability", root, "--perf", root,
+                         "--json", str(report)]) == 1
+        capsys.readouterr()
+        found = [(f["code"], f["file"], f["line"], f["message"])
+                 for f in json.loads(report.read_text())["findings"]]
+        bad, why = str(tree / "bad.py"), "unparseable module: %s" % err.value
+        assert found == [
+            ("NYX024", bad, 1, why),
+            ("NYX045", bad, 1, why),
+            ("NYX045", bad, 1, why + "; durability cannot be audited"),
+            ("NYX075", bad, 1,
+             why + "; hot-path reachability cannot be computed"),
+        ]
 
     def test_corpus_audit_exit_codes(self, tmp_path, capsys):
         spec = default_network_spec()
