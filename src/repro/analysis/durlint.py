@@ -53,7 +53,8 @@ STATE_PAIRS: Dict[str, str] = {
 FAMILY_TOKEN = "state"
 FAMILY_ALIAS = "NYX06x"
 FAMILY = (FAMILY_TOKEN, FAMILY_ALIAS)
-#: Default golden inventory location, relative to the repo root.
+#: Default golden inventory location, relative to the repo root (two
+#: levels above an analyzed ``src/<package>`` tree).
 GOLDEN_INVENTORY = pathlib.Path("tests") / "golden" / "state_inventory.json"
 
 
@@ -411,17 +412,20 @@ def state_inventory(root) -> Dict[str, Dict[str, object]]:
 def _load_golden(root: pathlib.Path,
                  golden: Optional[str]) -> Tuple[Optional[dict],
                                                  Optional[str]]:
+    """The golden inventory and its path: ``golden`` when given, else
+    the one that belongs to the analyzed tree, never one found through
+    the working directory (a fixture tree has no golden)."""
     if golden is not None:
         path = pathlib.Path(golden)
-        candidates = [path]
     else:
-        candidates = [root.parent.parent / GOLDEN_INVENTORY,
-                      GOLDEN_INVENTORY]
-    for candidate in candidates:
-        if candidate.is_file():
-            return (json.loads(candidate.read_text(encoding="utf-8")),
-                    str(candidate))
-    return None, None
+        path = root.resolve().parent.parent / GOLDEN_INVENTORY
+        try:
+            path = path.relative_to(pathlib.Path.cwd())
+        except ValueError:
+            pass
+    if not path.is_file():
+        return None, None
+    return json.loads(path.read_text(encoding="utf-8")), str(path)
 
 
 def _golden_diags(index: SourceIndex, golden_path: Optional[str],

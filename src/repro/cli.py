@@ -43,14 +43,20 @@ import repro
 #: the working directory.
 PACKAGE_DIR = pathlib.Path(repro.__file__).parent
 
+#: ``profile``'s committed per-site budget baseline, in the checkout
+#: around :data:`PACKAGE_DIR` (``src/repro``), whatever the working
+#: directory.
+PROFILE_BASELINE = (PACKAGE_DIR.parent.parent / "tests" / "golden"
+                    / "profile_baseline.json")
 
-def _package_root() -> str:
-    """:data:`PACKAGE_DIR`, relative to the working directory when it
-    lies below it (so reports from a checkout name ``src/repro/...``)."""
+
+def _shown(path: pathlib.Path) -> str:
+    """``path``, relative to the working directory when it lies below
+    it (so reports from a checkout name ``src/repro/...``)."""
     try:
-        return str(PACKAGE_DIR.relative_to(pathlib.Path.cwd()))
+        return str(path.relative_to(pathlib.Path.cwd()))
     except ValueError:
-        return str(PACKAGE_DIR)
+        return str(path)
 
 
 def _cmd_targets(args: argparse.Namespace) -> int:
@@ -565,7 +571,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not (run_spec or run_corpus or run_sanitize or any(roots.values())):
         # Bare `repro analyze`: the checks that need no inputs.
         run_spec = True
-        roots = dict.fromkeys(roots, _package_root())
+        roots = dict.fromkeys(roots, _shown(PACKAGE_DIR))
     for root in roots.values():
         if root and not os.path.isdir(root):
             print("not a directory: %s" % root, file=sys.stderr)
@@ -702,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nyx-Net reproduction: snapshot fuzzing on a "
                     "simulated VM")
     sub = parser.add_subparsers(dest="command", required=True)
-    package = _package_root()
+    package = _shown(PACKAGE_DIR)
 
     sub.add_parser("targets", help="list fuzz targets")
 
@@ -814,8 +820,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--chain-execs", type=int, default=None,
                        help="chain-scenario execs per leg "
                             "(default: 600, or 300 with --quick)")
-    bench.add_argument("--out", default=".",
-                       help="directory for BENCH_*.json (default: .)")
+    bench.add_argument("--out", default="bench-out",
+                       help="directory for BENCH_*.json (default: "
+                            "bench-out, so the committed reports at the "
+                            "repo root stay as they are)")
     bench.add_argument("--baseline", default="BENCH_baseline.json",
                        help="baseline path for --check/--write-baseline")
     bench.add_argument("--check", type=float, default=None, metavar="PCT",
@@ -854,9 +862,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "or 400 without one)")
     prof.add_argument("--policy", default="aggressive",
                       help="snapshot policy (default: aggressive)")
-    prof.add_argument("--baseline",
-                      default="tests/golden/profile_baseline.json",
-                      help="committed per-site budget baseline")
+    prof.add_argument("--baseline", default=_shown(PROFILE_BASELINE),
+                      help="committed per-site budget baseline "
+                           "(default: the checkout's "
+                           "tests/golden/profile_baseline.json)")
     prof.add_argument("--write-baseline", action="store_true",
                       help="save this run's cost table as the baseline")
     prof.add_argument("--pct", type=float, default=25.0, metavar="PCT",

@@ -32,9 +32,10 @@ straightforward implementation:
 * event callbacks append one precomputed *site* integer per event to a
   flat stream — no edge arithmetic inside the callback;
 * :meth:`TracerCore.take_trace` folds the site stream into the sparse
-  edge trace once per execution, vectorized with numpy when available
-  (the pure Python fallback computes the identical dict), memoized on
-  the packed stream under an LRU cap;
+  edge trace once per execution, memoized on the packed stream under an
+  LRU cap.  The fold is stdlib only: the live stream becomes one
+  big-integer shift and xor whose halfwords are the edges
+  (:func:`_count_edges`), counted into the trace by C code;
 * the executor's prefix-trace elision suspends collection across an
   op prefix that a previous recording already proved deterministic and
   seeds :meth:`take_trace` with the recorded prefix stream instead
@@ -53,11 +54,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coverage.bitmap import MAP_SIZE
 from repro.guestos.kernel import KernelApi
-
-try:  # Optional acceleration for the per-exec fold; results identical.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is normally available
-    _np = None
 
 try:  # C-level "count into a dict" helper used by Counter itself.
     from collections import _count_elements
@@ -93,6 +89,13 @@ SYSCALL_WINDOW = sys.version_info < (3, 12)
 #: memo without bound (evictions are counted into ``CampaignStats``).
 FOLD_MEMO_LIMIT = 8192
 
+#: Map size whose edges :func:`_count_edges` reads as halfwords.
+_HALFWORD_MAP = 1 << 16
+
+#: :func:`_count_edges` views packed sites and big-integer bytes in
+#: native order, so it needs a little-endian host.
+_LANE_FOLD = sys.byteorder == "little"
+
 
 def _stable_site(text: str) -> int:
     """FNV-1a site hash, stable across processes.
@@ -107,6 +110,29 @@ def _stable_site(text: str) -> int:
     for byte in text.encode():
         value = ((value ^ byte) * 0x01000193) & 0xFFFFFFFF
     return value
+
+
+def _count_edges(trace: Dict[int, int], packed: bytes,  # nyx: hot
+                 first: int) -> None:
+    """Count the 16-bit edges of sites ``first..`` of ``packed`` into
+    ``trace``, in stream order, chained from site ``first - 1`` (or 0).
+
+    An edge ``(site ^ (prev >> 1)) % 2**16`` reads only bits 0-16 of
+    either site, so the low 32-bit word of each site is enough.  Those
+    words, with the previous site's in front, become one little-endian
+    integer ``w``; lane ``i`` of ``(w >> 32) ^ (w >> 1)`` is then
+    ``site_i ^ (prev_i >> 1)`` up to its top bit, and its low halfword
+    is the edge.  A handful of big-integer operations replace a
+    per-site loop, and ``_count_elements`` counts the halfwords in C.
+    """
+    if first:
+        tail = memoryview(packed)[8 * first - 8:]
+    else:
+        tail = memoryview(bytes(8) + packed)
+    n = len(tail) // 8 - 1
+    words = int.from_bytes(tail.cast("I")[::2], "little")
+    lanes = ((words >> 32) ^ (words >> 1)).to_bytes(4 * n + 4, "little")
+    _count_elements(trace, memoryview(lanes).cast("H")[:2 * n:2])
 
 
 class TracerCore:
@@ -213,15 +239,8 @@ class TracerCore:
         else:
             trace, first = {}, 0
         size = self.map_size
-        if _np is not None and len(packed) - len(prefix) > 512:
-            sites = _np.frombuffer(packed, dtype=_np.uint64)
-            edges = _np.empty(len(sites) - first, _np.uint64)
-            prev = int(sites[first - 1]) if first else 0
-            edges[0] = (int(sites[first]) ^ (prev >> 1)) % size
-            _np.bitwise_xor(sites[first + 1:], sites[first:-1] >> 1,
-                            out=edges[1:])
-            edges %= size
-            _count_elements(trace, edges.tolist())
+        if size == _HALFWORD_MAP and _LANE_FOLD:
+            _count_edges(trace, packed, first)
         else:
             sites = _array("Q", packed)
             prev = sites[first - 1] if first else 0

@@ -298,6 +298,14 @@ class TestStateInventory:
         assert analyze_durability_tree(
             root, golden=str(tmp_path / "nope.json")) == []
 
+    def test_fixture_tree_ignores_the_repo_golden(self, tmp_path,
+                                                  monkeypatch):
+        # Analyzed from the repo root, a tree without a golden of its
+        # own must not be diffed against the repo's inventory.
+        root = self._tree(tmp_path, ["a"])
+        monkeypatch.chdir(REPO_SRC.parents[1])
+        assert analyze_durability_tree(root) == []
+
 
 def _manifest(seed, **overrides):
     base = dict(policy="aggressive", seed=seed, time_budget=60.0,

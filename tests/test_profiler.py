@@ -14,6 +14,7 @@ import pathlib
 import sys
 
 from repro.analysis.hotlint import analyze_hot_source
+from repro.cli import build_parser
 from repro.cli import main as cli_main
 from repro.perf.macro import run_macro
 from repro.perf.profiler import (CONFIG_KEYS, ProfileCollector,
@@ -335,6 +336,25 @@ class TestCli:
 
     def test_unknown_target_exits_two(self):
         assert cli_main(["profile", "no-such-target"]) == 2
+
+    def test_default_baseline_found_from_any_directory(self, tmp_path,
+                                                       monkeypatch):
+        # Outside the checkout the NYX076 gate must still find the
+        # committed baseline, not skip itself.
+        monkeypatch.chdir(tmp_path)
+        args = build_parser().parse_args(["profile"])
+        assert pathlib.Path(args.baseline).is_file()
+        assert pathlib.Path(args.baseline).read_bytes() == \
+            BASELINE.read_bytes()
+
+    def test_bench_default_out_spares_committed_reports(self,
+                                                         monkeypatch):
+        # Run from the repo root, `repro bench --check` must not
+        # overwrite the committed BENCH_*.json.
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        monkeypatch.chdir(repo)
+        out = pathlib.Path(build_parser().parse_args(["bench"]).out)
+        assert out.resolve() != repo
 
     def test_write_then_gate_roundtrip(self, tmp_path, capsys):
         baseline = tmp_path / "profile_baseline.json"

@@ -11,6 +11,8 @@ site, memoised prefix fold merged in) must equal folding the
 concatenation.
 """
 
+import os
+import subprocess
 import sys
 from array import array
 
@@ -247,7 +249,7 @@ _slots = st.lists(st.integers(0, 40), max_size=4)
 
 # Hypothesis favours small site values, for which the join edge often
 # cannot tell a seeded fold from an unseeded one; the explicit examples
-# pin a distinguishing join on both fold paths (numpy past 64 sites).
+# pin a distinguishing join, over a long and a short stream.
 _SPREAD = [7919 * i + 1237 for i in range(150)]
 
 
@@ -291,3 +293,56 @@ def test_split_fold_equals_concatenated_fold(sites, cut, prefix_slots,
     assert split.last_packed == whole.last_packed
     assert list(split.take_trace().items()) == expected  # memo hit path
 
+
+# ----------------------------------------------------------------------
+# fold == naive per-site loop, over the whole site range
+# ----------------------------------------------------------------------
+
+def _naive_fold(sites, size):
+    """AFL's edge formula, one site at a time, first occurrence first."""
+    trace = {}
+    prev = 0
+    for site in sites:
+        edge = (site ^ (prev >> 1)) % size
+        trace[edge] = trace.get(edge, 0) + 1
+        prev = site
+    return list(trace.items())
+
+
+@settings(max_examples=200, deadline=None)
+@example(sites=[2 ** 64 - 1, 2 ** 63, 1 << 17, 0x1FFFF], cut=1,
+         map_size=MAP_SIZE, warm=False)
+@given(sites=st.lists(st.integers(0, 2 ** 64 - 1), max_size=300),
+       cut=st.integers(0, 300), map_size=st.sampled_from([64, MAP_SIZE]),
+       warm=st.booleans())
+def test_fold_equals_naive_loop(sites, cut, map_size, warm):
+    cut = min(cut, len(sites))
+    core = TracerCore(map_size=map_size)
+    if warm:
+        # The memo already holds the prefix's own fold.
+        core.begin()
+        core._stream.extend(sites[:cut])
+        core.take_trace()
+    core.begin()
+    core.elide_suspend()
+    core.elide_resume(array("Q", sites[:cut]).tobytes())
+    core._stream.extend(sites[cut:])
+    assert list(core.take_trace().items()) == _naive_fold(sites, map_size)
+
+
+def test_campaign_never_imports_numpy():
+    # The fold is stdlib only; numpy would cost every campaign ~12 MB.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["repro"].__file__)))
+    code = ("import sys\n"
+            "import repro.cli\n"
+            "rc = repro.cli.main(['fuzz', 'lighttpd', '--execs', '50',"
+            " '--seed', '1'])\n"
+            "print('numpy loaded:', 'numpy' in sys.modules)\n"
+            "sys.exit(rc)\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "50 execs" in done.stdout
+    assert done.stdout.rstrip().endswith("numpy loaded: False")
